@@ -29,13 +29,22 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"need at least 2 colors, got k={k}")
 
 
-def _root_row(k: int, n: int, gen: np.random.Generator, root_color) -> np.ndarray:
-    if root_color is None:
+def uses_block_counts(shape: TreeShape) -> bool:
+    """Whether samplers of root posteriors draw per-block color counts
+    rather than materializing the leaves."""
+    return shape.leaf_count > BLOCK_COUNT_THRESHOLD
+
+
+def _root_level(k: int, n: int, gen: np.random.Generator, root_colors) -> np.ndarray:
+    """(n, 1) root colors: drawn uniformly for None, else a scalar or (n,) array."""
+    if root_colors is None:
         return gen.integers(1, k + 1, size=(n, 1), dtype=np.int16)
-    color = int(root_color)
-    if not 1 <= color <= k:
-        raise ValidationError(f"root color {color} out of range 1..{k}")
-    return np.full((n, 1), color, dtype=np.int16)
+    colors = np.asarray(root_colors, dtype=np.int64)
+    if colors.size and (colors.min() < 1 or colors.max() > k):
+        raise ValidationError(f"root colors must lie in 1..{k}")
+    if colors.ndim == 0:
+        return np.full((n, 1), colors, dtype=np.int16)
+    return colors.astype(np.int16).reshape(n, 1)
 
 
 def _next_level(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
@@ -62,7 +71,7 @@ def sample_levels(
     if not 0 <= stop <= shape.depth:
         raise ValidationError("down_to out of range")
     gen = rng.generator
-    levels = [_root_row(k, n, gen, root_color)]
+    levels = [_root_level(k, n, gen, root_color)]
     for _ in range(stop):
         levels.append(_next_level(levels[-1], k, shape.branching, gen))
     return levels
@@ -90,12 +99,7 @@ def sample_leaf_rows(
     """(n, leaf_count) leaf rows; `root_colors` may be None, a scalar, or (n,)."""
     _check_k(k)
     gen = rng.generator
-    if root_colors is None or np.isscalar(root_colors):
-        level = _root_row(k, n, gen, root_colors)
-    else:
-        level = np.asarray(root_colors, dtype=np.int16).reshape(n, 1)
-        if level.size and (level.min() < 1 or level.max() > k):
-            raise ValidationError(f"root colors must lie in 1..{k}")
+    level = _root_level(k, n, gen, root_colors)
     for _ in range(shape.depth):
         level = _next_level(level, k, shape.branching, gen)
     return level
@@ -113,12 +117,7 @@ def sample_block_counts(
     if shape.depth < 1:
         raise ValidationError("block counts need a tree of depth >= 1")
     gen = rng.generator
-    if root_colors is None or np.isscalar(root_colors):
-        level = _root_row(k, n, gen, root_colors)
-    else:
-        level = np.asarray(root_colors, dtype=np.int16).reshape(n, 1)
-        if level.size and (level.min() < 1 or level.max() > k):
-            raise ValidationError(f"root colors must lie in 1..{k}")
+    level = _root_level(k, n, gen, root_colors)
     for _ in range(shape.depth - 1):
         level = _next_level(level, k, shape.branching, gen)
     # Per-block leaf law: multinomial over the k-1 colors differing from
@@ -175,7 +174,7 @@ def posterior_rows(
         # the root is the only leaf: posterior is a point mass on its color
         roots = sample_leaf_rows(shape, k, n, rng, root_colors)[:, 0]
         return np.eye(k, dtype=float)[roots.astype(np.int64) - 1]
-    if shape.leaf_count > BLOCK_COUNT_THRESHOLD:
+    if uses_block_counts(shape):
         counts = sample_block_counts(shape, k, n, rng, root_colors)
         return exact_engine.root_marginal_from_block_counts(shape, k, counts)
     rows = sample_leaf_rows(shape, k, n, rng, root_colors)

@@ -21,12 +21,10 @@ import numpy as np
 
 from . import broadcast_sampler, exact_engine
 from .errors import InfeasibleChannelError, ValidationError
-from .estimators import Estimate, TailEstimate, mean_estimate, tail_estimate
+from .estimators import Estimate, TailEstimate, batch_sums, mean_estimate, tail_estimate
 from .exact_engine import ColorDistribution
 from .rng import RandomSource
 from .tree_model import PartialLeafColoring, TreeShape, check_leaf_coloring
-
-_BATCH_ELEMS = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,24 +97,20 @@ def downward_couple(
     )
 
 
+def _hamming_distances(
+    shape: TreeShape, k: int, c1: int, c2: int, n: int, rng: RandomSource
+) -> np.ndarray:
+    """Number of disagreeing leaves in each of n coupled pairs."""
+    return coupled_leaf_rows(shape, k, c1, c2, n, rng)[2].sum(axis=1)
+
+
 def estimate_hamming(
     shape: TreeShape, k: int, c1: int, c2: int, samples: int, rng: RandomSource
 ) -> Estimate:
     """Mean number of disagreeing leaves across coupled pairs."""
-    if samples <= 0:
-        raise ValidationError("samples must be positive")
-    chunk = max(1, _BATCH_ELEMS // max(shape.leaf_count, 1))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        _, _, disagree = coupled_leaf_rows(shape, k, c1, c2, m, rng)
-        h = disagree.sum(axis=1).astype(float)
-        total += float(h.sum())
-        total_sq += float((h * h).sum())
-        done += m
-    return mean_estimate(total, total_sq, samples)
+    sums = batch_sums(samples, shape.leaf_count,
+                      lambda m: _hamming_distances(shape, k, c1, c2, m, rng))
+    return mean_estimate(*sums, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +142,19 @@ def hamming_tail(
     branching: int, k: int, depth: int, threshold: float, samples: int, rng: RandomSource
 ) -> TailEstimate:
     """Monte Carlo Pr[D_depth > threshold] for the branching process."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    chunk = max(1, _BATCH_ELEMS // max(depth, 1))
-    successes = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        counts = disagreement_counts(branching, k, depth, m, rng)
-        successes += int((counts > threshold).sum())
-        done += m
-    return tail_estimate(threshold, successes, samples)
+    successes, _ = batch_sums(
+        samples, depth,
+        lambda m: disagreement_counts(branching, k, depth, m, rng) > threshold)
+    return tail_estimate(threshold, int(successes), samples)
 
 
 def branching_mean(
     branching: int, k: int, depth: int, samples: int, rng: RandomSource
 ) -> Estimate:
     """Mean of D_depth across independent branching-process runs."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    chunk = max(1, _BATCH_ELEMS // max(depth, 1))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        counts = disagreement_counts(branching, k, depth, m, rng).astype(float)
-        total += float(counts.sum())
-        total_sq += float((counts * counts).sum())
-        done += m
-    return mean_estimate(total, total_sq, samples)
+    sums = batch_sums(samples, depth,
+                      lambda m: disagreement_counts(branching, k, depth, m, rng))
+    return mean_estimate(*sums, samples)
 
 
 def hamming_tail_tree(
@@ -190,17 +167,10 @@ def hamming_tail_tree(
     rng: RandomSource,
 ) -> TailEstimate:
     """Pr[number of disagreeing leaves > threshold] under the tree coupling."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    chunk = max(1, _BATCH_ELEMS // max(shape.leaf_count, 1))
-    successes = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        _, _, disagree = coupled_leaf_rows(shape, k, c1, c2, m, rng)
-        successes += int((disagree.sum(axis=1) > threshold).sum())
-        done += m
-    return tail_estimate(threshold, successes, samples)
+    successes, _ = batch_sums(
+        samples, shape.leaf_count,
+        lambda m: _hamming_distances(shape, k, c1, c2, m, rng) > threshold)
+    return tail_estimate(threshold, int(successes), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +285,22 @@ def interpolation_tv_report(
 # Monte Carlo bias and concentration estimators
 
 
+def _root_deviations(
+    shape: TreeShape, k: int, c: int, n: int, rng: RandomSource
+) -> np.ndarray:
+    """|P(root=c | leaves) - 1/k| for n independent broadcasts."""
+    rows = broadcast_sampler.posterior_rows(shape, k, n, rng)
+    return np.abs(rows[:, c - 1] - 1.0 / k)
+
+
 def estimate_alpha(
     shape: TreeShape, k: int, c: int, samples: int, rng: RandomSource
 ) -> Estimate:
     """Average deviation |P(root=c | leaves) - 1/k| over broadcast leaves."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
     c = _check_color(k, c, "c")
-    per_sample = max(shape.leaf_count, k)
-    chunk = max(1, _BATCH_ELEMS // per_sample)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        rows = broadcast_sampler.posterior_rows(shape, k, m, rng)
-        dev = np.abs(rows[:, c - 1] - 1.0 / k)
-        total += float(dev.sum())
-        total_sq += float((dev * dev).sum())
-        done += m
-    return mean_estimate(total, total_sq, samples)
+    sums = batch_sums(samples, max(shape.leaf_count, k),
+                      lambda m: _root_deviations(shape, k, c, m, rng))
+    return mean_estimate(*sums, samples)
 
 
 @dataclass(frozen=True)
@@ -353,23 +319,22 @@ class BetaTvReport:
 def estimate_beta_tv(
     shape: TreeShape, k: int, c1: int, c2: int, samples: int, rng: RandomSource
 ) -> BetaTvReport:
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    """How far apart the root laws are, given leaves broadcast from root c1
+    versus root c2.
+
+    Draws coupled leaf pairs from roots c1 and c2 and reports both the mean
+    TV between their exact root posteriors and the plug-in TV between
+    root colors redrawn from those posteriors (see BetaTvReport).
+    """
     c1 = _check_color(k, c1, "c1")
     c2 = _check_color(k, c2, "c2")
     if c1 == c2:
         zero = Estimate(mean=0.0, stderr=0.0, n=samples)
         return BetaTvReport(coupling_bound=zero, plugin_tv=zero)
-    per_sample = max(shape.leaf_count, k) * 2
-    chunk = max(1, _BATCH_ELEMS // per_sample)
     gen = rng.generator
-    total = 0.0
-    total_sq = 0.0
-    counts1 = np.zeros(k, dtype=np.int64)
-    counts2 = np.zeros(k, dtype=np.int64)
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
+    counts = np.zeros((2, k), dtype=np.int64)  # plug-in root draws per conditioning
+
+    def posterior_tv(m: int) -> np.ndarray:
         x, y, _ = coupled_leaf_rows(shape, k, c1, c2, m, rng)
         if shape.depth == 0:
             px = np.eye(k)[x[:, 0].astype(np.int64) - 1]
@@ -377,20 +342,19 @@ def estimate_beta_tv(
         else:
             px = exact_engine.root_marginal_batch(shape, k, x)
             py = exact_engine.root_marginal_batch(shape, k, y)
-        tv = 0.5 * np.abs(px - py).sum(axis=1)
-        total += float(tv.sum())
-        total_sq += float((tv * tv).sum())
         # plug-in: independent re-inferred root draws from each conditioning
-        counts1 += np.bincount(
+        counts[0] += np.bincount(
             broadcast_sampler.sample_from_rows(px, gen).astype(np.int64), minlength=k + 1
         )[1:]
-        counts2 += np.bincount(
+        counts[1] += np.bincount(
             broadcast_sampler.sample_from_rows(py, gen).astype(np.int64), minlength=k + 1
         )[1:]
-        done += m
-    coupling = mean_estimate(total, total_sq, samples)
-    freq1 = counts1 / samples
-    freq2 = counts2 / samples
+        return 0.5 * np.abs(px - py).sum(axis=1)
+
+    sums = batch_sums(samples, max(shape.leaf_count, k) * 2, posterior_tv)
+    coupling = mean_estimate(*sums, samples)
+    freq1 = counts[0] / samples
+    freq2 = counts[1] / samples
     tv_plug = 0.5 * float(np.abs(freq1 - freq2).sum())
     sign = np.sign(freq1 - freq2)
     var1 = (1.0 - float(sign @ freq1) ** 2) / samples
@@ -407,20 +371,11 @@ def concentration_tail(
     """Monte Carlo Pr[|P(root=c | leaves) - 1/k| > threshold] under broadcast."""
     if not 0 < threshold < 1:
         raise ValidationError("threshold must lie in (0, 1)")
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
     c = _check_color(k, c, "c")
-    per_sample = max(shape.leaf_count, k)
-    chunk = max(1, _BATCH_ELEMS // per_sample)
-    successes = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        rows = broadcast_sampler.posterior_rows(shape, k, m, rng)
-        dev = np.abs(rows[:, c - 1] - 1.0 / k)
-        successes += int((dev > threshold).sum())
-        done += m
-    return tail_estimate(threshold, successes, samples)
+    successes, _ = batch_sums(
+        samples, max(shape.leaf_count, k),
+        lambda m: _root_deviations(shape, k, c, m, rng) > threshold)
+    return tail_estimate(threshold, int(successes), samples)
 
 
 def check_concentration_reduction(A: float, delta: float, measured_tail: float) -> bool:

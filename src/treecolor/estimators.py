@@ -1,12 +1,44 @@
-"""Small containers and formulas for Monte Carlo estimates."""
+"""Small containers and formulas for Monte Carlo estimates.
+
+Every Monte Carlo estimator draws its samples through `batch_sums`, which
+cuts them into chunks of at most BATCH_ELEMS array elements (but at least
+one sample), so memory stays bounded whatever the sample count.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import ValidationError
 
 Z95 = 1.96  # two-sided 95% normal quantile
+
+#: array elements one chunk of samples may occupy
+BATCH_ELEMS = 4_000_000
+
+
+def batch_sums(
+    samples: int, per_sample_elems: int, draw: Callable[[int], np.ndarray]
+) -> tuple[float, float]:
+    """Sum and sum of squares of a per-sample statistic over `samples` draws.
+
+    `draw(m)` returns the statistic of m fresh samples; it is called on
+    chunks of BATCH_ELEMS // per_sample_elems samples (at least one), in
+    order, until `samples` are drawn.
+    """
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    chunk = max(1, BATCH_ELEMS // max(per_sample_elems, 1))
+    total = 0.0
+    total_sq = 0.0
+    for start in range(0, samples, chunk):
+        stat = np.asarray(draw(min(chunk, samples - start)), dtype=float)
+        total += float(stat.sum())
+        total_sq += float((stat * stat).sum())
+    return total, total_sq
 
 
 def wilson95(successes: int, n: int) -> tuple[float, float]:

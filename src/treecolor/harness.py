@@ -20,10 +20,10 @@ import numpy as np
 from . import couplings, dynamics, unbiasing
 from .broadcast_sampler import sample_leaf_rows
 from .errors import ValidationError
-from .estimators import Estimate, mean_estimate, proportion_estimate
+from .estimators import Estimate, TailEstimate, mean_estimate, proportion_estimate
 from .exact_engine import root_marginal
 from .rng import RandomSource
-from .tree_model import PartialLeafColoring, TreeShape
+from .tree_model import PartialLeafColoring, TreeShape, is_proper
 from .unbiasing import UnbiasingParams, epsilon_from
 
 EXPERIMENT_KINDS = (
@@ -103,6 +103,11 @@ def _estimate_dict(est: Estimate) -> dict:
     return d
 
 
+def _tail_dict(tail: TailEstimate) -> dict:
+    return {"mean": tail.probability, "stderr": tail.stderr, "n": tail.n,
+            "wilson95": list(tail.wilson)}
+
+
 def _split_samples(total: int, replicas: int) -> list[int]:
     base, extra = divmod(total, replicas)
     sizes = [base + (1 if i < extra else 0) for i in range(replicas)]
@@ -139,6 +144,14 @@ def _replica_sources(config: ExperimentConfig) -> list[RandomSource]:
     if config.series_index is not None:
         base = base.split(config.series_index)
     return base.split_many(config.replicas)
+
+
+def _per_replica(config: ExperimentConfig, run) -> list[dict]:
+    """`run(n, source)` for each replica's share of the samples and its own
+    random stream, in replica order."""
+    sources = _replica_sources(config)
+    sizes = _split_samples(config.samples, config.replicas)
+    return [run(n, source) for source, n in zip(sources, sizes)]
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -218,11 +231,8 @@ def _run_unbiasing(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
     up = _unbiasing_params(config.params, k, shape.branching)
     highly = bool(config.params.get("highly"))
-    results = []
-    for source, n in zip(_replica_sources(config),
-                         _split_samples(config.samples, config.replicas)):
-        est = unbiasing.estimate_q(shape, k, up, n, source, highly=highly)
-        results.append(_estimate_dict(est))
+    results = _per_replica(config, lambda n, source: _estimate_dict(
+        unbiasing.estimate_q(shape, k, up, n, source, highly=highly)))
     pooled = _pool_proportions(results)
     aggregate = {
         "q_hat": pooled["mean"],
@@ -243,70 +253,52 @@ def _run_couple(config: ExperimentConfig):
     if delta < 2 or k < 2 or depth < 0:
         raise ValidationError("couple needs delta >= 2, k >= 2, depth >= 0")
     threshold = params.get("threshold")
-    sources = _replica_sources(config)
-    sizes = _split_samples(config.samples, config.replicas)
-
     if mode == "branching":
-        results = []
-        for source, n in zip(sources, sizes):
-            if threshold is None:
-                est = couplings.branching_mean(delta, k, depth, n, source)
-                results.append(_estimate_dict(est))
-            else:
-                tail = couplings.hamming_tail(delta, k, depth, float(threshold), n, source)
-                results.append({"mean": tail.probability, "stderr": tail.stderr,
-                                "n": tail.n, "wilson95": list(tail.wilson)})
-        pooled = _pool_proportions(results) if threshold is not None else _pool_means(results)
-        name = ("branching_tail" if threshold is not None else "branching_mean")
-        aggregate = {"estimators": [{"estimator": name,
-                                     **pooled,
-                                     **({"threshold": float(threshold)} if threshold is not None else {})}]}
-        return results, aggregate
+        args = (delta, k, depth)
+        mean_name, mean_fn = "branching_mean", couplings.branching_mean
+        tail_name, tail_fn = "branching_tail", couplings.hamming_tail
+    else:
+        c1, c2 = _require(params, "c1", "c2")
+        args = (TreeShape(delta, depth), k, int(c1), int(c2))
+        if mode == "downup":
+            return _run_downup(config, args)
+        if mode != "down":
+            raise ValidationError(f"unknown couple mode {mode!r}")
+        mean_name, mean_fn = "hamming_mean", couplings.estimate_hamming
+        tail_name, tail_fn = "hamming_tail", couplings.hamming_tail_tree
 
-    shape = TreeShape(delta, depth)
-    c1, c2 = _require(params, "c1", "c2")
-    c1, c2 = int(c1), int(c2)
-    if mode == "down":
-        results = []
-        for source, n in zip(sources, sizes):
-            if threshold is None:
-                est = couplings.estimate_hamming(shape, k, c1, c2, n, source)
-                results.append(_estimate_dict(est))
-            else:
-                tail = couplings.hamming_tail_tree(
-                    shape, k, c1, c2, float(threshold), n, source)
-                results.append({"mean": tail.probability, "stderr": tail.stderr,
-                                "n": tail.n, "wilson95": list(tail.wilson)})
-        pooled = _pool_proportions(results) if threshold is not None else _pool_means(results)
-        name = "hamming_tail" if threshold is not None else "hamming_mean"
-        aggregate = {"estimators": [{"estimator": name,
-                                     **pooled,
-                                     **({"threshold": float(threshold)} if threshold is not None else {})}]}
-        return results, aggregate
+    if threshold is None:
+        results = _per_replica(config, lambda n, source: _estimate_dict(
+            mean_fn(*args, n, source)))
+        return results, {"estimators": [{"estimator": mean_name, **_pool_means(results)}]}
+    threshold = float(threshold)
+    results = _per_replica(config, lambda n, source: _tail_dict(
+        tail_fn(*args, threshold, n, source)))
+    pooled = _pool_proportions(results)
+    return results, {"estimators": [{"estimator": tail_name, **pooled,
+                                     "threshold": threshold}]}
 
-    if mode == "downup":
-        results = []
-        for source, n in zip(sources, sizes):
-            report = couplings.estimate_beta_tv(shape, k, c1, c2, n, source)
-            results.append({
-                "coupling_bound": _estimate_dict(report.coupling_bound),
-                "plugin_tv": _estimate_dict(report.plugin_tv),
-            })
-        coupling = _pool_means([r["coupling_bound"] for r in results])
-        # plug-in TVs do not pool exactly; replicas are averaged by weight
-        plug_n = sum(r["plugin_tv"]["n"] for r in results)
-        plug_mean = sum(r["plugin_tv"]["mean"] * r["plugin_tv"]["n"] for r in results) / plug_n
-        plug_stderr = math.sqrt(sum(
-            (r["plugin_tv"]["n"] / plug_n) ** 2 * r["plugin_tv"]["stderr"] ** 2
-            for r in results))
-        aggregate = {"estimators": [
-            {"estimator": "coupling_tv_bound", **coupling},
-            {"estimator": "plugin_tv", "mean": plug_mean,
-             "stderr": plug_stderr, "n": plug_n},
-        ]}
-        return results, aggregate
 
-    raise ValidationError(f"unknown couple mode {mode!r}")
+def _run_downup(config: ExperimentConfig, args: tuple):
+    def estimate(n, source):
+        report = couplings.estimate_beta_tv(*args, n, source)
+        return {"coupling_bound": _estimate_dict(report.coupling_bound),
+                "plugin_tv": _estimate_dict(report.plugin_tv)}
+
+    results = _per_replica(config, estimate)
+    coupling = _pool_means([r["coupling_bound"] for r in results])
+    # plug-in TVs do not pool exactly; replicas are averaged by weight
+    plug_n = sum(r["plugin_tv"]["n"] for r in results)
+    plug_mean = sum(r["plugin_tv"]["mean"] * r["plugin_tv"]["n"] for r in results) / plug_n
+    plug_stderr = math.sqrt(sum(
+        (r["plugin_tv"]["n"] / plug_n) ** 2 * r["plugin_tv"]["stderr"] ** 2
+        for r in results))
+    aggregate = {"estimators": [
+        {"estimator": "coupling_tv_bound", **coupling},
+        {"estimator": "plugin_tv", "mean": plug_mean,
+         "stderr": plug_stderr, "n": plug_n},
+    ]}
+    return results, aggregate
 
 
 def _run_bias(config: ExperimentConfig):
@@ -314,11 +306,8 @@ def _run_bias(config: ExperimentConfig):
     color = config.params.get("color")
     if color is None:
         raise ValidationError("missing required parameter(s): color")
-    results = []
-    for source, n in zip(_replica_sources(config),
-                         _split_samples(config.samples, config.replicas)):
-        est = couplings.estimate_alpha(shape, k, int(color), n, source)
-        results.append(_estimate_dict(est))
+    results = _per_replica(config, lambda n, source: _estimate_dict(
+        couplings.estimate_alpha(shape, k, int(color), n, source)))
     pooled = _pool_means(results)
     aggregate = {"ell": shape.depth, "alpha_hat": pooled["mean"],
                  "stderr": pooled["stderr"], "n": pooled["n"]}
@@ -328,13 +317,8 @@ def _run_bias(config: ExperimentConfig):
 def _run_concentration(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
     color, threshold = _require(config.params, "color", "threshold")
-    results = []
-    for source, n in zip(_replica_sources(config),
-                         _split_samples(config.samples, config.replicas)):
-        tail = couplings.concentration_tail(
-            shape, k, int(color), float(threshold), n, source)
-        results.append({"mean": tail.probability, "stderr": tail.stderr,
-                        "n": tail.n, "wilson95": list(tail.wilson)})
+    results = _per_replica(config, lambda n, source: _tail_dict(
+        couplings.concentration_tail(shape, k, int(color), float(threshold), n, source)))
     pooled = _pool_proportions(results)
     aggregate = {"threshold": float(threshold), "probability": pooled["mean"],
                  "stderr": pooled["stderr"], "wilson95": pooled["wilson95"],
@@ -382,7 +366,7 @@ def _run_dynamics(config: ExperimentConfig):
     final = dynamics.run_chain(state, block_depth, steps, rng)
     result = {"steps": steps, "final_time": final.time,
               "root_color": int(final.coloring.values[0]),
-              "proper": True}
+              "proper": is_proper(shape, final.coloring)}
     return [result], result
 
 

@@ -214,29 +214,26 @@ def is_allowed(shape: TreeShape, k: int, coloring: PartialLeafColoring) -> bool:
 def is_allowed_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.ndarray:
     """Vectorized `is_allowed` over rows of leaf colorings (0 = unconstrained).
 
-    Feasible sets are carried as k-bit masks, one per vertex, level by level.
+    Feasible sets are carried as a (k, batch, width) boolean array, level
+    by level: a child forces color c when c is its only feasible color, and
+    a parent can take c when every child has some feasible color and no
+    child forces c.
     """
     if k < 2:
         raise ValidationError(f"need at least 2 colors, got k={k}")
-    if k > 60:
-        raise ValidationError("bitmask feasibility supports at most 60 colors")
     rows = np.asarray(leaf_rows)
     if rows.ndim != 2 or rows.shape[1] != shape.leaf_count:
         raise ValidationError("leaf_rows must be (batch, leaf_count)")
-    full = np.int64((1 << k) - 1)
-    # leaf masks: single bit for a colored leaf, everything for a star
-    masks = np.where(rows == STAR, full, np.int64(1) << (rows.astype(np.int64) - 1))
+    colors = np.arange(1, k + 1).reshape(k, 1, 1)
+    feasible = (rows == colors) | (rows == STAR)
     b = shape.branching
     for _ in range(shape.depth):
-        grouped = masks.reshape(masks.shape[0], -1, b)
-        alive = (grouped != 0).all(axis=2)
-        out = np.full(grouped.shape[:2], full, dtype=np.int64)
-        for c in range(k):
-            bit = np.int64(1) << c
-            forced = (grouped == bit).any(axis=2)
-            out &= ~np.where(forced, bit, np.int64(0))
-        masks = np.where(alive, out, np.int64(0))
-    return masks[:, 0] != 0
+        choices = feasible.sum(axis=0).reshape(rows.shape[0], -1, b)
+        alive = (choices != 0).all(axis=2)
+        grouped = feasible.reshape(k, rows.shape[0], -1, b)
+        forced = (grouped & (choices == 1)).any(axis=3)
+        feasible = ~forced & alive
+    return feasible[:, :, 0].any(axis=0)
 
 
 def _check_k(k: int, coloring: PartialLeafColoring) -> None:

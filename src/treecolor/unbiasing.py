@@ -21,7 +21,7 @@ import numpy as np
 
 from . import broadcast_sampler
 from .errors import RegimeError, ValidationError
-from .estimators import Estimate, proportion_estimate
+from .estimators import Estimate, batch_sums, proportion_estimate
 from .rng import RandomSource
 from .tree_model import PartialLeafColoring, TreeShape, check_leaf_coloring
 
@@ -145,18 +145,13 @@ def estimate_q(
     classifier (or its strong form), sampling leaves by broadcast."""
     if shape.depth < 1:
         raise ValidationError("the classifier is undefined on a depth-0 tree")
-    if samples <= 0:
-        raise ValidationError("samples must be positive")
     heights = qualifying_heights(shape, params) if highly else None
-    use_counts = shape.leaf_count > broadcast_sampler.BLOCK_COUNT_THRESHOLD
+    use_counts = broadcast_sampler.uses_block_counts(shape)
     per_sample = (
         shape.branching ** (shape.depth - 1) * k if use_counts else shape.leaf_count
     )
-    chunk = max(1, 4_000_000 // max(per_sample, 1))
-    failures = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
+
+    def failed(m: int) -> np.ndarray:
         if use_counts:
             counts = broadcast_sampler.sample_block_counts(shape, k, m, rng)
             unused = (counts == 0).sum(axis=2)
@@ -170,6 +165,7 @@ def estimate_q(
                 good &= flags[h - 1].all(axis=1)
         else:
             good = flags[-1][:, 0]
-        failures += int(m - good.sum())
-        done += m
-    return proportion_estimate(failures, samples)
+        return ~good
+
+    failures, _ = batch_sums(samples, per_sample, failed)
+    return proportion_estimate(int(failures), samples)

@@ -285,6 +285,25 @@ def test_dynamics_experiment_exact_and_empirical():
         )
 
 
+def test_dynamics_experiment_reports_improper_final_state(monkeypatch):
+    from treecolor import dynamics
+    from treecolor.tree_model import FullColoring
+
+    def improper_chain(state, block_depth, steps, rng):
+        clash = np.ones(state.shape.vertex_count, dtype=np.int16)
+        return dynamics.DynamicsState(state.shape, state.k,
+                                      FullColoring(state.k, clash), steps)
+
+    monkeypatch.setattr(dynamics, "run_chain", improper_chain)
+    result = run_experiment(
+        ExperimentConfig(
+            kind="dynamics",
+            params={"delta": 2, "k": 3, "n": 2, "block_depth": 0, "steps": 5},
+        )
+    ).aggregate
+    assert result["proper"] is False
+
+
 def test_run_record_serialization_excludes_wall_clock():
     config = ExperimentConfig(
         kind="bias", params={"delta": 2, "k": 3, "depth": 1, "color": 1}, samples=50
@@ -442,6 +461,17 @@ def test_cli_marginal_exact(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["weights"] == ["0/1", "0/1", "1/1"]
+
+
+def test_cli_marginal_exact_beyond_60_colors(tmp_path, capsys):
+    leaves = tmp_path / "leaves.txt"
+    leaves.write_text("1,2\n")
+    code, out, _ = run_cli(
+        capsys, "marginal", "--delta", "2", "--k", "61", "--depth", "1",
+        "--leaves", str(leaves), "--exact",
+    )
+    assert code == 0
+    assert json.loads(out)["weights"] == ["0/1", "0/1"] + ["1/59"] * 59
 
 
 def test_cli_marginal_csv(tmp_path, capsys):

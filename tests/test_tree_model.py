@@ -252,17 +252,16 @@ def test_is_allowed_batch_validation():
     with pytest.raises(ValidationError):
         is_allowed_batch(shape, 1, np.zeros((1, 2), dtype=np.int16))
     with pytest.raises(ValidationError):
-        is_allowed_batch(shape, 61, np.zeros((1, 2), dtype=np.int16))
-    with pytest.raises(ValidationError):
         is_allowed_batch(shape, 3, np.zeros(2, dtype=np.int16))
 
 
 def test_allowed_iff_extensions_positive():
-    shape = TreeShape(2, 2)
-    k = 3
-    for row in all_rows(k, shape.leaf_count):
-        x = PartialLeafColoring(k, row)
-        assert is_allowed(shape, k, x) == (count_extensions(shape, k, x) > 0)
+    # k = 61 is past what a 64-bit color mask holds
+    for delta, depth, k in [(2, 2, 3), (2, 1, 61)]:
+        shape = TreeShape(delta, depth)
+        for row in all_rows(k, shape.leaf_count):
+            x = PartialLeafColoring(k, row)
+            assert is_allowed(shape, k, x) == (count_extensions(shape, k, x) > 0), (k, row)
 
 
 def test_full_boundaries_allowed_with_enough_colors():
