@@ -10,10 +10,13 @@ makes every move a whole-tree resample once block_depth reaches the tree
 depth; at block_depth 0 it is plain single-site Glauber.
 
 On instances small enough to enumerate, the full transition matrix is
-assembled in exact rationals; the mixing time is then computed from exact
-integer matrix powers, so the 1/(2e) threshold test never relies on
-floating point.  Entropy functionals over the state space support the
-local-vs-global entropy comparison on the same tiny instances.
+assembled in exact rationals.  The mixing time is certified: float64
+powers of the kernel decide the 1/(2e) threshold test at step t whenever
+the computed worst-start TV is farther from it than the proven rounding
+bound 4(t+1)(n+2)2^-53 for n states, and a step closer than that falls
+back to exact integer matrix powers, so the reported t is always exact.
+Entropy functionals over the state space support the local-vs-global
+entropy comparison on the same tiny instances.
 """
 from __future__ import annotations
 
@@ -251,13 +254,16 @@ def state_space_size(shape: TreeShape, k: int) -> int:
     return k * (k - 1) ** (shape.vertex_count - 1)
 
 
-def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
-    """All proper colorings, lexicographic in the level-order color vector."""
-    size = state_space_size(shape, k)
+def _check_state_guard(size: int) -> None:
     if size > STATE_GUARD:
         raise CapacityError(
             f"{size} proper colorings exceed the {STATE_GUARD} state guard"
         )
+
+
+def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
+    """All proper colorings, lexicographic in the level-order color vector."""
+    _check_state_guard(state_space_size(shape, k))
     n = shape.vertex_count
     b = shape.branching
     states = []
@@ -413,16 +419,6 @@ def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
     return 2.0 * est - 1.0
 
 
-def _e_bounds() -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on e, tight to ~1e-60."""
-    total = Fraction(0)
-    term = Fraction(1)
-    for i in range(1, 52):
-        total += term
-        term /= i
-    return total, total + 2 * term
-
-
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """Reachability over nonzero transitions (symmetric, so plain BFS)."""
     size = matrix.size
@@ -440,31 +436,84 @@ def is_ergodic(matrix: TransitionMatrix) -> bool:
     return found == size
 
 
-def mixing_time_exact(matrix: TransitionMatrix) -> int:
-    """Smallest t with worst-start TV from uniform at most 1/(2e), exactly.
-
-    Works on an integer matrix over a common denominator, so the
-    comparison against the irrational threshold is decided with rational
-    bounds on e rather than floats.
-    """
-    size = matrix.size
+def _check_mixing_size(size: int) -> None:
     if size > _MIXING_STATE_GUARD:
         raise CapacityError(
             f"exact mixing time supports at most {_MIXING_STATE_GUARD} states"
         )
+
+
+def check_exact_capacity(shape: TreeShape, k: int) -> None:
+    """Raise, before any matrix is built, the CapacityError that
+    enumerate_states or mixing_time_exact would raise on this instance."""
+    size = state_space_size(shape, k)
+    _check_state_guard(size)
+    _check_mixing_size(size)
+
+
+def mixing_time_exact(matrix: TransitionMatrix) -> int:
+    """Smallest t with worst-start TV from uniform at most 1/(2e), certified.
+
+    Powers of the float64 kernel decide each step whenever the computed TV
+    is farther from 1/(2e) than B_t = 4(t+1)(n+2)2^-53, a proven bound on
+    its rounding error (derived below).  A step inside that band hands the
+    whole computation to exact integer powers, so the answer is always the
+    exact one.
+    """
+    _check_mixing_size(matrix.size)
     if not is_ergodic(matrix):
         raise NonErgodicChainError(
             "transition graph is disconnected; no mixing time exists"
         )
-    denom = 1
-    for row in matrix.rows:
-        for val in row.values():
-            denom = denom * val.denominator // math.gcd(denom, val.denominator)
+    # Error bound, with u = 2^-53, n states, gamma_n = nu / (1 - nu), and
+    # Q_t = P^t against its float copy R_t (R_1 = fl(P), R_t+1 = fl(R_t fl(P))):
+    # * fl(P) is entrywise within u*P (float(Fraction) rounds correctly),
+    #   so ||fl(P)|| <= 1 + u and ||fl(P) - P|| <= u in the max-row-sum norm.
+    # * A float product of nonnegative matrices is entrywise within
+    #   gamma_n*A*B of AB, whatever the summation order (Higham, Accuracy
+    #   and Stability of Numerical Algorithms, section 3.5).
+    # * So e_t = ||R_t - Q_t|| has e_1 <= u and 1 + e_t+1 <= (1 + u)(1 +
+    #   gamma_n)(1 + e_t), hence e_t <= exp(t(u + gamma_n)) - 1.  Under
+    #   the guards t(n+1)u < 1e-9, so e_t <= 1.001 t(n+1)u: the row-sum
+    #   error grows like t(gamma_n + u).  Underflow adds at most n 2^-1074
+    #   per entry and product, far below what follows.
+    # * The worst-row TV is 1/2-Lipschitz in e_t.  Computing it from R_t
+    #   costs u/2 for fl(1/n) and 1.5 gamma_n for the n-term sum of
+    #   rounded |differences| (a sum of at most 3); fl(1/(2e)) is within u
+    #   of 1/(2e), and forming TV +- B_t rounds by at most 1.1u more.
+    # Total: 0.51 t(n+1)u + 1.51 nu + 3u, which B_t dominates.
+    kernel = power = matrix.to_dense()
+    uniform = 1.0 / matrix.size
+    threshold = 1.0 / (2.0 * math.e)
+    for t in range(1, _MIXING_STEP_GUARD + 1):
+        tv = 0.5 * float(np.abs(power - uniform).sum(axis=1).max())
+        bound = 4.0 * (t + 1) * (matrix.size + 2) * 2.0**-53
+        if tv + bound <= threshold:
+            return t
+        if tv - bound <= threshold:
+            return _mixing_time_integer(matrix)
+        power = power @ kernel
+    raise CapacityError(f"mixing time exceeds {_MIXING_STEP_GUARD} steps")
+
+
+def _mixing_time_integer(matrix: TransitionMatrix) -> int:
+    """mixing_time_exact from exact integer powers over a common denominator.
+
+    The comparison against the irrational threshold is decided with
+    rational bounds on e, tight to ~1e-60, instead of floats.
+    """
+    size = matrix.size
+    denom = math.lcm(*(val.denominator for row in matrix.rows for val in row.values()))
     base = [
         [int(matrix.entry(i, j) * denom) for j in range(size)] for i in range(size)
     ]
-    e_lo, e_hi = _e_bounds()
-    power = [row[:] for row in base]
+    base_cols = list(zip(*base))
+    e_lo, term = Fraction(0), Fraction(1)
+    for i in range(1, 52):
+        e_lo += term
+        term /= i
+    e_hi = e_lo + 2 * term
+    power = base
     scale = denom
     for t in range(1, _MIXING_STEP_GUARD + 1):
         worst = max(sum(abs(size * m - scale) for m in row) for row in power)
@@ -473,15 +522,9 @@ def mixing_time_exact(matrix: TransitionMatrix) -> int:
             return t
         if worst * e_lo <= size * scale:  # pragma: no cover - e known to 1e-60
             raise CapacityError("mixing threshold undecidable at current e precision")
-        power = _int_matmul(power, base)
+        power = [[sum(x * y for x, y in zip(row, col)) for col in base_cols] for row in power]
         scale *= denom
     raise CapacityError(f"mixing time exceeds {_MIXING_STEP_GUARD} steps")
-
-
-def _int_matmul(a: list, b: list) -> list:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -209,22 +209,29 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
     """Float-backend root marginals for many leaf colorings at once.
 
     Rows use 0 for unconstrained leaves.  Returns an array of shape
-    (batch, k).  Infeasible rows raise rather than produce NaNs.
+    (batch, k); an empty batch gives (0, k).  Infeasible rows raise rather
+    than produce NaNs.
     """
     if k < 2:
         raise ValidationError(f"need at least 2 colors, got k={k}")
     rows = np.asarray(leaf_rows)
     if rows.ndim != 2 or rows.shape[1] != shape.leaf_count:
         raise ValidationError("leaf_rows must be (batch, leaf_count)")
+    if rows.dtype.kind not in "iu":
+        raise ValidationError("leaf_rows must hold integer colors")
     if rows.size and (rows.min() < 0 or rows.max() > k):
         raise ValidationError(f"leaf entries must lie in [0, {k}]")
-    eye = np.eye(k, dtype=float)
-    msgs = np.where(
-        (rows == STAR)[..., np.newaxis],
-        np.full(k, 1.0 / k),
-        eye[np.clip(rows.astype(np.int64), 1, k) - 1],
-    )
-    msgs = _combine_up_float(msgs, shape.branching, shape.depth)
+    # row STAR = 0 is the uniform message of a free leaf, row c the point mass on c
+    leaf_msgs = np.vstack([np.full(k, 1.0 / k), np.eye(k)])
+    if shape.depth == 0:
+        return leaf_msgs[rows[:, 0]]
+    if rows.shape[0] == 0:
+        return np.empty((0, k))
+    # the first fold level, gathered from log1p(-message) per leaf value
+    with np.errstate(divide="ignore"):
+        log_table = np.log1p(-leaf_msgs)
+    logw = log_table[rows].reshape(rows.shape[0], -1, shape.branching, k).sum(axis=2)
+    msgs = _combine_up_float(_normalize_log_weights(logw), shape.branching, shape.depth - 1)
     return msgs[:, 0, :]
 
 

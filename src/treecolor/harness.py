@@ -335,6 +335,7 @@ def _run_dynamics(config: ExperimentConfig):
     if block_depth < 0:
         raise ValidationError("block_depth must be >= 0")
     if params.get("exact"):
+        dynamics.check_exact_capacity(shape, k)
         matrix = dynamics.build_transition_matrix(shape, k, block_depth)
         info = dynamics.stationary_and_gap(matrix)
         symmetric = all(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CHI2_P_FLOOR, chi2_pvalue
+from treecolor import dynamics
 from treecolor.dynamics import (
     DynamicsState,
     TransitionMatrix,
@@ -285,6 +286,7 @@ def test_exact_mixing_times():
     assert mixing_time_exact(build_transition_matrix(TreeShape(2, 1), 3, 0)) == 16
     assert mixing_time_exact(build_transition_matrix(TreeShape(2, 1), 4, 0)) == 8
     assert mixing_time_exact(build_transition_matrix(TreeShape(2, 2), 3, 1)) == 10
+    assert mixing_time_exact(build_transition_matrix(TreeShape(2, 2), 3, 0)) == 141
 
 
 def test_mixing_time_meets_threshold_definition():
@@ -314,6 +316,50 @@ def test_disconnected_chain_is_reported_not_mixed():
     assert not is_ergodic(reducible)
     with pytest.raises(NonErgodicChainError):
         mixing_time_exact(reducible)
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth",
+    [
+        (2, 1, 3, 0),
+        (2, 1, 4, 0),
+        (2, 2, 3, 1),
+        (2, 1, 3, 1),
+        (2, 1, 3, 5),
+        (2, 1, 4, 1),
+        (2, 2, 3, 2),
+    ],
+)
+def test_certified_mixing_time_matches_integer_path(
+    monkeypatch, branching, depth, k, block_depth
+):
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    expected = dynamics._mixing_time_integer(matrix)
+    fallbacks = []
+    monkeypatch.setattr(
+        dynamics, "_mixing_time_integer", lambda m: fallbacks.append(m) or expected
+    )
+    assert mixing_time_exact(matrix) == expected
+    assert fallbacks == []  # these instances are far from the threshold
+
+
+def test_mixing_time_near_threshold_falls_back_to_integers(monkeypatch):
+    # TV(1) = lam/2 for the two-state chain with flip probability (1 - lam)/2;
+    # lam sits 4e-19 above 1/e, deep inside the float rounding bound
+    lam = Fraction(367879441171442322, 10**18)
+    p = (1 - lam) / 2
+    matrix = make_matrix([{0: 1 - p, 1: p}, {0: p, 1: 1 - p}])
+    integer_path = dynamics._mixing_time_integer
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return integer_path(m)
+
+    monkeypatch.setattr(dynamics, "_mixing_time_integer", counted)
+    assert mixing_time_exact(matrix) == 2
+    assert calls == [matrix]
+    assert integer_path(matrix) == 2
 
 
 def test_mixing_time_state_guard():

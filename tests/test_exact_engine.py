@@ -216,6 +216,15 @@ def test_batch_marginals_match_scalar():
         np.testing.assert_allclose(got, expected.as_floats(), atol=1e-12)
 
 
+def test_batch_marginals_of_empty_and_non_integer_batches():
+    for depth in (0, 2):
+        shape = TreeShape(20, depth)
+        empty = np.zeros((0, shape.leaf_count), dtype=np.int16)
+        assert root_marginal_batch(shape, 3, empty).shape == (0, 3)
+    with pytest.raises(ValidationError):
+        root_marginal_batch(TreeShape(2, 1), 3, np.array([[1.0, 2.0]]))
+
+
 def test_block_count_marginals():
     # per-block color counts are a sufficient statistic for the root law
     shape = TreeShape(2, 2)

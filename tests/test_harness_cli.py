@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treecolor import __version__
+from treecolor import __version__, dynamics
 from treecolor.cli import main
 from treecolor.dynamics import build_transition_matrix
 from treecolor.errors import ValidationError
@@ -562,6 +562,20 @@ def test_cli_dynamics_exact_with_matrix_export(tmp_path, capsys):
         assert matrix.entry(i, j) == Fraction(num, den)
         seen += 1
     assert seen == sum(len(row) for row in matrix.rows)
+
+
+def test_cli_dynamics_exact_guard_trips_before_building_the_matrix(capsys, monkeypatch):
+    # 2916 states: over the mixing guard, under the enumeration guard
+    def never(*args, **kwargs):
+        raise AssertionError("the transition matrix must not be built")
+
+    monkeypatch.setattr(dynamics, "build_transition_matrix", never)
+    code, _, err = run_cli(
+        capsys, "dynamics", "--delta", "2", "--k", "4", "--n", "2",
+        "--block-depth", "0", "--exact",
+    )
+    assert code == 3
+    assert "exact mixing time supports at most 400 states" in err
 
 
 def test_cli_unbiasing_json(capsys):
