@@ -28,6 +28,7 @@ import numpy as np
 
 from .broadcast_sampler import sample_full
 from .errors import CapacityError, NonErgodicChainError, ValidationError
+from .exact_engine import count_levels
 from .rng import RandomSource, integer_below
 from .tree_model import FullColoring, TreeShape, is_proper
 
@@ -58,21 +59,7 @@ def initial_state(shape: TreeShape, k: int, rng: RandomSource) -> DynamicsState:
 def block_vertices(shape: TreeShape, v: int, block_depth: int) -> list[int]:
     """All descendants of v within distance block_depth, v included."""
     shape._check_vertex(v)
-    if block_depth < 0:
-        raise ValidationError("block_depth must be >= 0")
-    out = [v]
-    frontier = [v]
-    b = shape.branching
-    for _ in range(block_depth):
-        nxt = []
-        for w in frontier:
-            if not shape.is_leaf(w):
-                nxt.extend(range(w * b + 1, w * b + b + 1))
-        if not nxt:
-            break
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return [w for level in _block_levels(shape, v, block_depth) for w in level]
 
 
 def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
@@ -93,6 +80,9 @@ def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
 
 
 def _block_levels(shape: TreeShape, v: int, block_depth: int) -> list[list[int]]:
+    """The block under v level by level, truncated at the leaves."""
+    if block_depth < 0:
+        raise ValidationError("block_depth must be >= 0")
     levels = [[v]]
     b = shape.branching
     for _ in range(block_depth):
@@ -106,31 +96,24 @@ def _block_levels(shape: TreeShape, v: int, block_depth: int) -> list[list[int]]
     return levels
 
 
-def _allowed_masks(shape, k, values, levels) -> dict[int, int]:
-    """Forbidden-color constraints from outside children, as per-vertex bitmasks."""
-    b = shape.branching
-    masks = {}
-    frontier = levels[-1]
-    for w in frontier:
-        mask = (1 << k) - 1
-        if not shape.is_leaf(w):
-            for child in range(w * b + 1, w * b + b + 1):
-                mask &= ~(1 << (int(values[child]) - 1))
-        masks[w] = mask
-    return masks
-
-
 def heat_bath_block(
     state: DynamicsState, v: int, block_depth: int, rng: RandomSource
 ) -> DynamicsState:
-    """Resample the block under v exactly uniformly given the outside."""
+    """Resample the block under v exactly uniformly given the outside.
+
+    The block is a complete subtree.  `count_levels` counts its proper
+    completions bottom-up, each frontier vertex allowing the colors its
+    children outside the block leave free; colors are then drawn top-down
+    from those big-integer counts, each exactly uniform via integer_below.
+    """
     shape, k = state.shape, state.k
     values = state.coloring.values
     gen = rng.generator
     b = shape.branching
     parent_color = None if v == 0 else int(values[(v - 1) // b])
+    levels = _block_levels(shape, v, block_depth)
 
-    if block_depth == 0 or shape.is_leaf(v):
+    if len(levels) == 1:
         # single-site fast path: avoid any color used by a neighbor
         forbidden = set()
         if parent_color is not None:
@@ -143,61 +126,32 @@ def heat_bath_block(
         new_values[v] = new_color
         return DynamicsState(shape, k, FullColoring(k, new_values), state.time)
 
-    levels = _block_levels(shape, v, block_depth)
-    frontier_masks = _allowed_masks(shape, k, values, levels)
-    full_mask = (1 << k) - 1
-    # upward counting pass: counts[w][c] = proper completions of w's block subtree
-    counts: dict[int, list[int]] = {}
-    for level in reversed(levels):
-        for w in level:
-            mask = frontier_masks.get(w, full_mask)
-            in_block_children = (
-                []
-                if w in frontier_masks or shape.is_leaf(w)
-                else list(range(w * b + 1, w * b + b + 1))
-            )
-            vec = []
-            for c in range(k):
-                if not mask >> c & 1:
-                    vec.append(0)
-                    continue
-                w_count = 1
-                for child in in_block_children:
-                    child_counts = counts[child]
-                    w_count *= sum(child_counts) - child_counts[c]
-                    if w_count == 0:
-                        break
-                vec.append(w_count)
-            counts[w] = vec
-    root_vec = list(counts[v])
-    if parent_color is not None:
-        root_vec[parent_color - 1] = 0
-    total = sum(root_vec)
-    if total == 0:  # cannot happen: the current block coloring is a completion
-        raise ValidationError("no proper completion of the block exists")
+    bottom = []
+    for w in levels[-1]:
+        # a leaf's child indices lie past the end, so it has no outside children
+        outside = set(values[w * b + 1 : w * b + b + 1].tolist())
+        bottom.append([int(c not in outside) for c in range(1, k + 1)])
+    counts = count_levels(bottom, b, len(levels) - 1)[::-1]  # counts[j][i] for levels[j][i]
     new_values = values.copy()
-    # downward sampling pass, exact against the big-integer counts
-    r = integer_below(gen, total)
-    for c in range(k):
-        r -= root_vec[c]
-        if r < 0:
-            new_values[v] = c + 1
-            break
-    for level in levels[:-1]:
-        for w in level:
-            if shape.is_leaf(w):
-                continue
-            parent_c = int(new_values[w])
-            for child in range(w * b + 1, w * b + b + 1):
-                vec = counts[child]
-                weights = [0 if c + 1 == parent_c else vec[c] for c in range(k)]
-                r = integer_below(gen, sum(weights))
-                for c in range(k):
-                    r -= weights[c]
-                    if r < 0:
-                        new_values[child] = c + 1
-                        break
+    new_values[v] = _draw_color(gen, counts[0][0], parent_color)
+    for level, level_counts in zip(levels[1:], counts[1:]):
+        for w, vec in zip(level, level_counts):
+            new_values[w] = _draw_color(gen, vec, int(new_values[(w - 1) // b]))
     return DynamicsState(shape, k, FullColoring(k, new_values), state.time)
+
+
+def _draw_color(gen: np.random.Generator, counts: list, avoid: int | None) -> int:
+    """Color c+1 with probability proportional to counts[c], never `avoid`.
+
+    The total is positive: the block's current coloring is a completion,
+    and each later draw's parent color was drawn with positive weight.
+    """
+    weights = [0 if c == avoid else w for c, w in enumerate(counts, 1)]
+    r = integer_below(gen, sum(weights))
+    for c, w in enumerate(weights, 1):
+        r -= w
+        if r < 0:
+            return c
 
 
 def step(state: DynamicsState, block_depth: int, rng: RandomSource) -> DynamicsState:

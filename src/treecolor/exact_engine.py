@@ -1,23 +1,26 @@
 """Exact distributions of the root color given a partial leaf coloring.
 
-Everything here is deterministic.  The central recursion computes, per
-color c, the probability that a uniformly random proper coloring
-consistent with the given leaf data puts c at the root.  At a leaf the
-answer is a point mass (or uniform if the leaf is unconstrained); one
-level up, the weight of c is the product over children of (1 - child's
-probability of c), renormalized.
+Everything here is deterministic.  One bottom-up recursion underlies the
+exact routes: `count_levels` counts, per vertex and color c, the proper
+colorings of the vertex's subtree that give it color c.  A leaf counts 1
+for each color it allows (every color if it is unconstrained); one level
+up, color c extends each child's subtree in (the child's total - the
+child's count for c) ways, and these multiply over the children.  The
+root law is the root's counts normalized.  Extension counts, the exact
+bias tables, interior-vertex marginals and the heat-bath block move in
+`dynamics` read the same counts.
 
-Two backends:
+Two backends for root marginals:
 
-* "rational" carries `fractions.Fraction` values and is exact; intended
-  for trees up to roughly 10^4 vertices.
+* "rational" normalizes the kernel's integer root counts once into
+  `fractions.Fraction` weights; exact, intended for trees up to roughly
+  10^4 vertices.
 * "float" carries per-color log-weights and normalizes by subtracting the
   maximum, which keeps deep products stable; it is also available in a
   batched form used heavily by the samplers.
 
-Independent routes to the same numbers (brute-force enumeration, the
-big-integer counting DP) live here as well, so tests can cross-check
-without shared code paths.
+Brute-force enumeration of whole colorings is the independent route: it
+shares no code with the counting kernel, so tests can cross-check the two.
 """
 from __future__ import annotations
 
@@ -110,40 +113,45 @@ def tv_distance(d1: ColorDistribution, d2: ColorDistribution):
 
 
 # ---------------------------------------------------------------------------
-# rational recursion
+# the counting kernel
 
 
-def _leaf_message(value: int, k: int) -> tuple:
-    if value == STAR:
-        u = Fraction(1, k)
-        return (u,) * k
-    return tuple(Fraction(1) if c == value else Fraction(0) for c in range(1, k + 1))
+def count_levels(bottom: list, branching: int, height: int) -> list:
+    """Proper-coloring counts of every vertex of a complete subtree, by color.
 
-
-def _combine_rational(msgs: list, k: int) -> tuple:
-    weights = []
-    for c in range(k):
-        w = Fraction(1)
-        for m in msgs:
-            w *= 1 - m[c]
-            if w == 0:
-                break
-        weights.append(w)
-    total = sum(weights)
-    if total == 0:
-        raise InfeasibleBoundaryError("subtree admits no proper extension")
-    return tuple(w / total for w in weights)
-
-
-def _up_message_rational(values: np.ndarray, k: int, branching: int, height: int) -> tuple:
-    """Root message of a complete subtree over the given leaf slice."""
-    level = [_leaf_message(int(v), k) for v in values]
+    `bottom` holds one 0/1 allowed-color vector per bottom vertex, left to
+    right.  A vertex above colored c extends each child's subtree in (the
+    sum of the child's counts - the child's count for c) ways, so its
+    counts are the products of those over its children.  Returns every
+    level of integer counts, bottom level first; the last level holds the
+    top vertex alone.
+    """
+    k = len(bottom[0])
+    levels = [bottom]
     for _ in range(height):
-        level = [
-            _combine_rational(level[i : i + branching], k)
-            for i in range(0, len(level), branching)
-        ]
-    return level[0]
+        below = levels[-1]
+        above = []
+        for i in range(0, len(below), branching):
+            vec = [1] * k
+            for counts in below[i : i + branching]:
+                vec = _times_completions(vec, counts)
+            above.append(vec)
+        levels.append(above)
+    return levels
+
+
+def _times_completions(weights: list, counts: list) -> list:
+    """weights[c] times the colorings of a subtree whose root avoids color c+1."""
+    total = sum(counts)
+    return [w * (total - m) for w, m in zip(weights, counts)]
+
+
+def _leaf_bottom(values, k: int) -> list:
+    """Allowed-color vectors of leaves: all ones for STAR, else an indicator."""
+    return [
+        [1] * k if v == STAR else [int(c == v) for c in range(1, k + 1)]
+        for v in map(int, values)
+    ]
 
 
 def root_marginal(
@@ -163,7 +171,9 @@ def root_marginal(
     if not is_allowed(shape, k, coloring):
         raise InfeasibleBoundaryError("leaf coloring admits no proper extension")
     if backend == "rational":
-        weights = list(_up_message_rational(coloring.values, k, shape.branching, shape.depth))
+        top = count_levels(_leaf_bottom(coloring.values, k), shape.branching, shape.depth)[-1][0]
+        total = sum(top)
+        weights = [Fraction(c, total) for c in top]
     elif backend == "float":
         weights = list(root_marginal_batch(shape, k, coloring.values[np.newaxis, :])[0])
     else:
@@ -309,31 +319,13 @@ def root_marginal_bruteforce(
 def count_extensions(shape: TreeShape, k: int, coloring: PartialLeafColoring) -> int:
     """Number of proper colorings of the whole tree consistent with the leaves.
 
-    Bottom-up counting DP with exact big integers; O(vertices * k^2).
+    The sum of the root's counts from `count_levels`, in exact big
+    integers; O(vertices * k) products.
     """
     check_leaf_coloring(shape, coloring)
     _check_colors_match(k, coloring)
-    level = [
-        [1] * k if v == STAR else [1 if c == v else 0 for c in range(1, k + 1)]
-        for v in map(int, coloring.values)
-    ]
-    b = shape.branching
-    for _ in range(shape.depth):
-        nxt = []
-        for i in range(0, len(level), b):
-            group = level[i : i + b]
-            totals = [sum(cnt) for cnt in group]
-            vec = []
-            for c in range(k):
-                w = 1
-                for cnt, tot in zip(group, totals):
-                    w *= tot - cnt[c]
-                    if w == 0:
-                        break
-                vec.append(w)
-            nxt.append(vec)
-        level = nxt
-    return sum(level[0])
+    levels = count_levels(_leaf_bottom(coloring.values, k), shape.branching, shape.depth)
+    return sum(levels[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -368,39 +360,34 @@ def vertex_conditional_marginal(
     if parent_color is not None and not 1 <= parent_color <= k:
         raise ValidationError(f"parent_color {parent_color} out of range 1..{k}")
 
-    def subtree_message(v: int) -> tuple:
-        lo, hi = shape.leaf_slice(v)
-        return _up_message_rational(coloring.values[lo:hi], k, b, shape.height_of(v))
+    levels = count_levels(_leaf_bottom(coloring.values, k), b, shape.depth)
 
-    if shape.is_leaf(u):
-        # u carries its own leaf constraint
-        lo, _ = shape.leaf_slice(u)
-        weights = list(_leaf_message(int(coloring.values[lo]), k))
-    else:
-        weights = [Fraction(1)] * k
+    def subtree_counts(v: int) -> list:
+        d = shape.depth_of(v)
+        return levels[shape.depth - d][v - shape.level_start(d)]
+
+    # a leaf u carries its own leaf constraint
+    weights = subtree_counts(u) if shape.is_leaf(u) else [1] * k
     for child in kids:
-        if child == removed_child:
-            continue
-        m = subtree_message(child)
-        weights = [w * (1 - m[c]) for c, w in enumerate(weights)]
+        if child != removed_child:
+            weights = _times_completions(weights, subtree_counts(child))
 
     if parent_color is not None:
-        weights[parent_color - 1] = Fraction(0)
+        weights = [0 if c == parent_color else w for c, w in enumerate(weights, 1)]
     elif u != 0:
-        down = _downward_message(shape, k, coloring, u, subtree_message)
-        weights = [w * (1 - down[c]) for c, w in enumerate(weights)]
+        weights = _times_completions(weights, _downward_counts(shape, k, u, subtree_counts))
 
     total = sum(weights)
     if total == 0:
         raise InfeasibleBoundaryError("pruned instance admits no proper coloring")
-    probs = tuple(w / total for w in weights)
+    probs = tuple(Fraction(w, total) for w in weights)
     if backend == "float":
         return ColorDistribution(k, tuple(float(p) for p in probs), "float")
     return ColorDistribution(k, probs, "rational")
 
 
-def _downward_message(shape, k, coloring, u, subtree_message) -> tuple:
-    """Color law of u's parent in the tree with u's subtree removed."""
+def _downward_counts(shape, k, u, subtree_counts) -> list:
+    """Proper colorings of the tree without u's subtree, by the color of u's parent."""
     b = shape.branching
     path = [u]
     while path[-1] != 0:
@@ -408,18 +395,13 @@ def _downward_message(shape, k, coloring, u, subtree_message) -> tuple:
     path.reverse()  # root ... u
     down = None
     for vertex, excluded in zip(path, path[1:]):
-        weights = [Fraction(1)] * k
+        weights = [1] * k
         for child in range(vertex * b + 1, vertex * b + b + 1):
-            if child == excluded:
-                continue
-            m = subtree_message(child)
-            weights = [w * (1 - m[c]) for c, w in enumerate(weights)]
+            if child != excluded:
+                weights = _times_completions(weights, subtree_counts(child))
         if down is not None:
-            weights = [w * (1 - down[c]) for c, w in enumerate(weights)]
-        total = sum(weights)
-        if total == 0:
-            raise InfeasibleBoundaryError("pruned instance admits no proper coloring")
-        down = tuple(w / total for w in weights)
+            weights = _times_completions(weights, down)
+        down = weights
     return down
 
 
@@ -449,20 +431,7 @@ def _bias_tables(branching: int, depth: int, k: int):
     abs_dev = [0] * k  # sum over X of |k * omega_c - total(X)|
     cross = [[Fraction(0)] * k for _ in range(k)]  # sum of omega_c * omega_c' / total(X)
     for combo in itertools.product(range(1, k + 1), repeat=L):
-        level = [[1 if c == v else 0 for c in range(1, k + 1)] for v in combo]
-        for _ in range(depth):
-            nxt = []
-            for i in range(0, len(level), branching):
-                group = level[i : i + branching]
-                totals = [sum(cnt) for cnt in group]
-                nxt.append(
-                    [
-                        math.prod(tot - cnt[c] for cnt, tot in zip(group, totals))
-                        for c in range(k)
-                    ]
-                )
-            level = nxt
-        omega = level[0]
+        omega = count_levels(_leaf_bottom(combo, k), branching, depth)[-1][0]
         total = sum(omega)
         if total == 0:
             continue

@@ -58,6 +58,9 @@ def test_block_vertices_examples():
         block_vertices(shape, 0, -1)
     with pytest.raises(ValidationError):
         block_vertices(shape, 7, 0)
+    state = proper_state(shape, 3, [1, 2, 3, 1, 3, 1, 2])
+    with pytest.raises(ValidationError):
+        heat_bath_block(state, 1, -1, RandomSource(1))
 
 
 def test_block_root_walks_up_and_clips():
@@ -130,20 +133,23 @@ def test_block_update_is_uniform_over_proper_completions():
 
 
 def test_one_step_law_matches_matrix_row():
-    shape = TreeShape(2, 1)
-    k = 3
-    matrix = build_transition_matrix(shape, k, 0)
-    start = (1, 2, 2)
-    i = matrix.states.index(start)
-    row = np.array([float(matrix.entry(i, j)) for j in range(matrix.size)])
-    state = proper_state(shape, k, start)
-    rng = RandomSource(20260823)
-    counts = np.zeros(matrix.size)
-    index = {s: j for j, s in enumerate(matrix.states)}
-    for _ in range(100_000):
-        nxt = step(state, 0, rng)
-        counts[index[tuple(int(c) for c in nxt.coloring.values)]] += 1
-    assert chi2_pvalue(counts, row) > CHI2_P_FLOOR
+    for shape, k, block_depth, start in [
+        (TreeShape(2, 1), 3, 0, (1, 2, 2)),
+        # the root's block ends at vertices 1 and 2, whose children lie
+        # outside it and fix colors those frontier vertices must avoid
+        (TreeShape(2, 2), 3, 1, (1, 2, 3, 1, 3, 1, 2)),
+    ]:
+        matrix = build_transition_matrix(shape, k, block_depth)
+        i = matrix.states.index(start)
+        row = np.array([float(matrix.entry(i, j)) for j in range(matrix.size)])
+        state = proper_state(shape, k, start)
+        rng = RandomSource(20260823)
+        counts = np.zeros(matrix.size)
+        index = {s: j for j, s in enumerate(matrix.states)}
+        for _ in range(100_000):
+            nxt = step(state, block_depth, rng)
+            counts[index[tuple(int(c) for c in nxt.coloring.values)]] += 1
+        assert chi2_pvalue(counts, row) > CHI2_P_FLOOR, (shape, block_depth)
 
 
 def test_full_depth_step_resamples_whole_tree_uniformly():

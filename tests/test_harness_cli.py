@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import treecolor
 from treecolor import __version__, dynamics
 from treecolor.cli import main
 from treecolor.dynamics import build_transition_matrix
@@ -701,11 +703,15 @@ def test_cli_out_files_are_byte_identical_across_reruns(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # the subprocess imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treecolor.cli", "broadcast", "--delta", "2",
          "--k", "3", "--depth", "1", "--samples", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
