@@ -7,12 +7,20 @@ Levels are generated as whole numpy arrays; the only per-vertex state
 that ever exists is the level currently being produced.
 
 `sample_block_counts` stops one level above the leaves and draws, for
-each bottom block, the multinomial color counts of its leaves instead of
-the leaves themselves.  Root-marginal recursions only see a bottom block
-through which colors it uses, so this is a lossless shortcut for deep
-wide trees (see exact_engine.root_marginal_from_block_counts).
+each bottom block, only the set of colors its leaves leave unused.  The
+block's Delta leaves are Delta balls thrown uniformly into the k-1 colors
+other than the parent's, so the number of those colors left empty follows
+the occupancy law, and given that number the empty colors are a uniform
+subset.  Root-marginal recursions and the unbiasing classifier only see a
+bottom block through this set, so it is a lossless shortcut for deep wide
+trees (see exact_engine.root_marginal_from_block_counts).
 """
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,7 +38,7 @@ def _check_k(k: int) -> None:
 
 
 def uses_block_counts(shape: TreeShape) -> bool:
-    """Whether samplers of root posteriors draw per-block color counts
+    """Whether samplers of root posteriors draw per-block unused-color sets
     rather than materializing the leaves."""
     return shape.leaf_count > BLOCK_COUNT_THRESHOLD
 
@@ -39,7 +47,11 @@ def _root_level(k: int, n: int, gen: np.random.Generator, root_colors) -> np.nda
     """(n, 1) root colors: drawn uniformly for None, else a scalar or (n,) array."""
     if root_colors is None:
         return gen.integers(1, k + 1, size=(n, 1), dtype=np.int16)
-    colors = np.asarray(root_colors, dtype=np.int64)
+    colors = np.asarray(root_colors)
+    if colors.dtype.kind not in "iu":
+        raise ValidationError("root colors must be integers")
+    if colors.shape not in ((), (n,)):
+        raise ValidationError(f"root colors must be a scalar or have length {n}")
     if colors.size and (colors.min() < 1 or colors.max() > k):
         raise ValidationError(f"root colors must lie in 1..{k}")
     if colors.ndim == 0:
@@ -105,13 +117,37 @@ def sample_leaf_rows(
     return level
 
 
+@lru_cache(maxsize=None)
+def _unused_slot_law(branching: int, k: int) -> tuple:
+    """Exact law of u, the number of the k-1 non-parent colors a bottom
+    block leaves unused, and its float CDF.
+
+    P(u) = C(k-1, u) surj(branching, k-1-u) / (k-1)^branching, where
+    surj(n, j) = sum_i (-1)^i C(j, i) (j-i)^n counts the maps of n leaves
+    onto j colors.  Returns (law as Fractions for u = 0..k-2, CDF array).
+    """
+    bins = k - 1
+    law = []
+    for u in range(bins):
+        j = bins - u
+        onto = sum((-1) ** i * math.comb(j, i) * (j - i) ** branching for i in range(j + 1))
+        law.append(Fraction(math.comb(bins, u) * onto, bins**branching))
+    cdf = np.array([float(c) for c in accumulate(law)])
+    cdf.setflags(write=False)
+    return tuple(law), cdf
+
+
 def sample_block_counts(
     shape: TreeShape, k: int, n: int, rng: RandomSource, root_colors=None
 ) -> np.ndarray:
-    """(n, blocks, k) color counts of each bottom block's leaves.
+    """(n, blocks, k) bool: True where a bottom block leaves color c unused.
 
-    Distributed exactly as counting the leaves of `sample_leaf_rows`
-    block by block, without generating them.
+    Distributed exactly as `counts == 0` for the per-color leaf counts of
+    `sample_leaf_rows`, block by block, without generating the leaves.
+    The parent's color is always unused.  The number u of other unused
+    colors is drawn by inverting the occupancy law of `branching` balls in
+    k-1 bins (`_unused_slot_law`); blocks with u > 0 then pick a uniform
+    u-subset of the k-1 non-parent slots by selection sampling.
     """
     _check_k(k)
     if shape.depth < 1:
@@ -120,26 +156,23 @@ def sample_block_counts(
     level = _root_level(k, n, gen, root_colors)
     for _ in range(shape.depth - 1):
         level = _next_level(level, k, shape.branching, gen)
-    # Per-block leaf law: multinomial over the k-1 colors differing from
-    # the parent.  The counts over "allowed slots" (1st, 2nd, ... color
-    # != parent) have a fixed uniform multinomial law, so draw them as a
-    # chain of scalar-p conditional binomials and scatter each slot past
-    # the parent's color.  Identical law, no batched-pvals multinomial.
-    remaining = np.full(level.shape, shape.branching, dtype=np.int64)
-    slot_counts = []
-    for slot in range(k - 1):
-        if slot == k - 2:
-            slot_counts.append(remaining)
-        else:
-            drawn = gen.binomial(remaining, 1.0 / (k - 1 - slot))
-            slot_counts.append(drawn)
-            remaining = remaining - drawn
-    slots = np.stack(slot_counts, axis=-1)
-    slot_index = np.arange(k - 1)
-    colors = slot_index + (slot_index >= (level - 1)[..., np.newaxis])
-    counts = np.zeros(level.shape + (k,), dtype=np.int16)
-    np.put_along_axis(counts, colors.astype(np.int64), slots.astype(np.int16), axis=-1)
-    return counts
+    parent = level.reshape(-1, 1) - 1
+    unused = np.arange(k) == parent
+    _, cdf = _unused_slot_law(shape.branching, k)
+    u = np.searchsorted(cdf, gen.random(parent.shape[0]), side="right")
+    busy = np.flatnonzero(u)
+    if busy.size:
+        need = u[busy]
+        below = parent[busy, 0]
+        chosen = unused[busy]
+        for slot in range(k - 1):
+            pick = gen.random(busy.size) * (k - 1 - slot) < need
+            need -= pick
+            # slot s is color s below the parent's color, s + 1 above it
+            chosen[:, slot] |= pick & (slot < below)
+            chosen[:, slot + 1] |= pick & (slot >= below)
+        unused[busy] = chosen
+    return unused.reshape(level.shape + (k,))
 
 
 def sample_down_up(
@@ -175,8 +208,8 @@ def posterior_rows(
         roots = sample_leaf_rows(shape, k, n, rng, root_colors)[:, 0]
         return np.eye(k, dtype=float)[roots.astype(np.int64) - 1]
     if uses_block_counts(shape):
-        counts = sample_block_counts(shape, k, n, rng, root_colors)
-        return exact_engine.root_marginal_from_block_counts(shape, k, counts)
+        unused = sample_block_counts(shape, k, n, rng, root_colors)
+        return exact_engine.root_marginal_from_block_counts(shape, k, unused)
     rows = sample_leaf_rows(shape, k, n, rng, root_colors)
     return exact_engine.root_marginal_batch(shape, k, rows)
 

@@ -246,27 +246,40 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
 
 
 def root_marginal_from_block_counts(
-    shape: TreeShape, k: int, block_counts: np.ndarray
+    shape: TreeShape, k: int, unused: np.ndarray
 ) -> np.ndarray:
-    """Root marginals given only per-color leaf counts of each bottom block.
+    """Root marginals given only the set of colors each bottom block leaves unused.
 
-    The recursion one level above the leaves sees a block of siblings only
-    through the set of colors the block uses, so per-block counts are a
-    sufficient statistic.  Deep-tree samplers exploit this to skip
-    materializing the leaf level.  Requires depth >= 1.
+    `unused` is the (batch, block_count, k) bool array of
+    `broadcast_sampler.sample_block_counts`, which draws it from the
+    occupancy law of a block's leaves in the k-1 colors other than their
+    parent's (a count array is rejected).  The recursion one level above
+    the leaves sees a block of siblings only through the colors it leaves
+    unused: its parent's message is uniform over those s colors.  The first
+    fold level gathers log(1 - 1/s) into the unused entries of each child
+    block and sums over siblings.  Requires depth >= 1; an empty batch
+    gives (0, k).
     """
     if shape.depth < 1:
         raise ValidationError("block counts need a tree of depth >= 1")
-    counts = np.asarray(block_counts)
+    unused = np.asarray(unused)
+    if unused.dtype != bool:
+        raise ValidationError("block statistics must be a bool array of unused colors")
     expected_blocks = shape.branching ** (shape.depth - 1)
-    if counts.ndim != 3 or counts.shape[1] != expected_blocks or counts.shape[2] != k:
-        raise ValidationError("block_counts must be (batch, block_count, k)")
-    msgs = (counts == 0).astype(float)
-    sums = msgs.sum(axis=-1, keepdims=True)
-    if (sums == 0).any():
+    if unused.ndim != 3 or unused.shape[1] != expected_blocks or unused.shape[2] != k:
+        raise ValidationError("unused colors must be (batch, block_count, k)")
+    if unused.shape[0] == 0:
+        return np.empty((0, k))
+    sizes = unused.sum(axis=-1)
+    if (sizes == 0).any():
         raise InfeasibleBoundaryError("a bottom block uses all colors")
-    msgs /= sums
-    msgs = _combine_up_float(msgs, shape.branching, shape.depth - 1)
+    if shape.depth == 1:
+        return unused[:, 0, :] / sizes[:, :1]
+    with np.errstate(divide="ignore"):
+        log_table = np.log1p(-1.0 / np.arange(1, k + 1))
+    logw = np.where(unused, log_table[sizes - 1][..., np.newaxis], 0.0)
+    logw = logw.reshape(unused.shape[0], -1, shape.branching, k).sum(axis=2)
+    msgs = _combine_up_float(_normalize_log_weights(logw), shape.branching, shape.depth - 2)
     return msgs[:, 0, :]
 
 

@@ -153,8 +153,7 @@ def estimate_q(
 
     def failed(m: int) -> np.ndarray:
         if use_counts:
-            counts = broadcast_sampler.sample_block_counts(shape, k, m, rng)
-            unused = (counts == 0).sum(axis=2)
+            unused = broadcast_sampler.sample_block_counts(shape, k, m, rng).sum(axis=2)
             flags = _level_flags(unused, shape.branching, shape.depth, params.epsilon)
         else:
             rows = broadcast_sampler.sample_leaf_rows(shape, k, m, rng)

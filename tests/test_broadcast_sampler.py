@@ -23,7 +23,7 @@ from treecolor import (
     sample_leaf_rows,
     sample_leaves_given_root,
 )
-from treecolor.broadcast_sampler import posterior_rows, sample_from_rows
+from treecolor.broadcast_sampler import _unused_slot_law, posterior_rows, sample_from_rows
 from treecolor.rng import integer_below
 from treecolor.exact_engine import root_marginal_batch
 
@@ -169,8 +169,9 @@ def test_leaf_rows_vector_root_colors():
     rows = sample_leaf_rows(shape, 3, 4, RandomSource(4), root_colors=roots)
     for row, c in zip(rows, roots):
         assert c not in row
-    with pytest.raises(ValidationError):
-        sample_leaf_rows(shape, 3, 2, RandomSource(4), root_colors=np.array([0, 1]))
+    for bad in (np.array([0, 1]), np.array([1, 2, 3]), 1.7, np.array([1.0, 2.0])):
+        with pytest.raises(ValidationError):
+            sample_leaf_rows(shape, 3, 2, RandomSource(4), root_colors=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -178,37 +179,54 @@ def test_leaf_rows_vector_root_colors():
 
 
 def test_block_counts_shape_and_sums():
+    # a bottom block of Delta leaves leaves its parent's color and between
+    # max(1, k - Delta) and k - 1 colors in all unused
     shape = TreeShape(3, 2)
-    counts = sample_block_counts(shape, 4, 200, RandomSource(12))
-    assert counts.shape == (200, 3, 4)
-    assert (counts.sum(axis=2) == 3).all()
-    assert (counts >= 0).all()
+    for k in (4, 6):
+        unused = sample_block_counts(shape, k, 200, RandomSource(12))
+        assert unused.dtype == bool
+        assert unused.shape == (200, 3, k)
+        sizes = unused.sum(axis=2)
+        assert sizes.min() >= max(1, k - 3)
+        assert sizes.max() <= k - 1
+    roots = np.array([1, 2, 3, 4, 4, 1], dtype=np.int16)
+    unused = sample_block_counts(TreeShape(2, 1), 4, 6, RandomSource(13), root_colors=roots)
+    assert unused[np.arange(6), 0, roots - 1].all()
 
 
 def test_block_counts_match_materialized_law():
-    # the count sampler must agree with counting materialized leaves; both
-    # are compared against the same exact law
+    # the unused-set sampler must agree with the colors materialized leaves
+    # leave unused; both are compared against the same exact law
     shape = TreeShape(2, 2)
     k = 3
     law = downward_leaf_law(shape, k, 1)
-    count_law: dict[tuple, Fraction] = {}
+    unused_law: dict[tuple, Fraction] = {}
     for row, p in law.items():
-        key = []
-        for block in range(2):
-            vec = [0] * k
-            for c in row[2 * block : 2 * block + 2]:
-                vec[c - 1] += 1
-            key.append(tuple(vec))
-        key = tuple(key)
-        count_law[key] = count_law.get(key, Fraction(0)) + p
-    keys = sorted(count_law)
+        key = tuple(
+            tuple(c not in row[2 * block : 2 * block + 2] for c in range(1, k + 1))
+            for block in range(2)
+        )
+        unused_law[key] = unused_law.get(key, Fraction(0)) + p
+    keys = sorted(unused_law)
     index = {key: i for i, key in enumerate(keys)}
     sampled = sample_block_counts(shape, k, 100_000, RandomSource(51), root_colors=1)
     counts = np.zeros(len(keys), dtype=np.int64)
     for sample in sampled:
         counts[index[tuple(map(tuple, sample.tolist()))]] += 1
-    p = chi2_pvalue(counts, [float(count_law[key]) for key in keys])
+    p = chi2_pvalue(counts, [float(unused_law[key]) for key in keys])
     assert p > CHI2_P_FLOOR
+
+
+def test_unused_slot_law_matches_ball_tally():
+    # Delta balls in k - 1 bins, every assignment tallied by its empty bins
+    for branching, k in [(2, 2), (5, 2), (2, 3), (4, 3), (3, 4), (5, 4), (2, 5), (3, 6)]:
+        bins = k - 1
+        tally = [0] * bins
+        for balls in product(range(bins), repeat=branching):
+            tally[bins - len(set(balls))] += 1
+        law, cdf = _unused_slot_law(branching, k)
+        assert law == tuple(Fraction(t, bins**branching) for t in tally)
+        assert cdf[-1] == 1.0
 
 
 def test_block_counts_depth0_rejected():

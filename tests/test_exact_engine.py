@@ -17,6 +17,7 @@ from treecolor import (
     ColorDistribution,
     InfeasibleBoundaryError,
     PartialLeafColoring,
+    RandomSource,
     TreeShape,
     ValidationError,
     count_extensions,
@@ -28,6 +29,7 @@ from treecolor import (
     tv_root,
     vertex_conditional_marginal,
 )
+from treecolor.broadcast_sampler import posterior_rows
 from treecolor.exact_engine import p_max, root_marginal_batch, root_marginal_from_block_counts
 from treecolor.tree_model import STAR
 
@@ -221,12 +223,14 @@ def test_batch_marginals_of_empty_and_non_integer_batches():
         shape = TreeShape(20, depth)
         empty = np.zeros((0, shape.leaf_count), dtype=np.int16)
         assert root_marginal_batch(shape, 3, empty).shape == (0, 3)
+    # the block-count route (8000 leaves) as well
+    assert posterior_rows(TreeShape(20, 3), 3, 0, RandomSource(1)).shape == (0, 3)
     with pytest.raises(ValidationError):
         root_marginal_batch(TreeShape(2, 1), 3, np.array([[1.0, 2.0]]))
 
 
 def test_block_count_marginals():
-    # per-block color counts are a sufficient statistic for the root law
+    # each block's set of unused colors is a sufficient statistic for the root law
     shape = TreeShape(2, 2)
     k = 3
     rows = np.array([[1, 2, 1, 2], [1, 1, 3, 3], [2, 3, 1, 1]], dtype=np.int16)
@@ -235,13 +239,20 @@ def test_block_count_marginals():
         for block in range(2):
             for c in row[2 * block : 2 * block + 2]:
                 counts[i, block, c - 1] += 1
-    got = root_marginal_from_block_counts(shape, k, counts)
+    got = root_marginal_from_block_counts(shape, k, counts == 0)
     full = root_marginal_batch(shape, k, rows)
+    np.testing.assert_allclose(got, full, atol=1e-12)
+    # depth 1: block 0 under the root alone
+    got = root_marginal_from_block_counts(TreeShape(2, 1), k, counts[:, :1] == 0)
+    full = root_marginal_batch(TreeShape(2, 1), k, rows[:, :2])
     np.testing.assert_allclose(got, full, atol=1e-12)
     with pytest.raises(InfeasibleBoundaryError):
         bad = counts.copy()
         bad[0, 0] = [1, 1, 1]  # a block using all colors kills its parent
-        root_marginal_from_block_counts(shape, k, bad)
+        root_marginal_from_block_counts(shape, k, bad == 0)
+    with pytest.raises(ValidationError):
+        # counts have the opposite sense of the unused flags
+        root_marginal_from_block_counts(shape, k, counts)
 
 
 # ---------------------------------------------------------------------------
