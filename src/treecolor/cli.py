@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand builds an ExperimentConfig, hands it to the harness,
-and renders the aggregate.  A flat key=value config file (--config) can
-supply any parameter; explicit flags always win over the file, and the
-file wins over built-in defaults.
+Each subcommand is one entry of `harness.KINDS`, which supplies its flags,
+its runner and its renderer.  This module only parses arguments, merges
+a flat key=value config file (--config), builds the run's configs, and
+writes the rendered text to stdout or --out.  Explicit flags always win
+over the file, and the file wins over built-in defaults.
 
 Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped,
 4 infeasible boundary or channel.
@@ -11,7 +12,6 @@ Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import (
@@ -22,38 +22,17 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
+    KINDS,
     ExperimentConfig,
-    decay_curve_csv,
-    emit_decay_curve,
+    _require,
     parse_config_file,
     run_experiment,
+    to_bool,
+    to_range,
 )
 from .tree_model import PartialLeafColoring
 
-
-def _to_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
-def _to_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise ValidationError(f"expected a range like 1..6, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValidationError(f"expected a range like 1..6, got {text!r}") from None
-    if lo > hi:
-        raise ValidationError(f"empty range {text!r}")
-    return lo, hi
-
-
-# per-subcommand parameter schema: name -> (caster, required, default)
+# parameters every subcommand takes: name -> (caster, required, default)
 _COMMON = {
     "seed": (int, False, 0),
     "replicas": (int, False, 1),
@@ -61,80 +40,8 @@ _COMMON = {
     "format": (str, False, None),
 }
 
-_SCHEMAS: dict[str, dict] = {
-    "marginal": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth": (int, True, None),
-        "leaves": (str, True, None),
-        "forbidden_root": (int, False, None),
-        "exact": (_to_bool, False, False),
-    },
-    "broadcast": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth": (int, True, None),
-        "root_color": (int, False, None),
-        "samples": (int, True, None),
-        "summary": (_to_bool, False, False),
-    },
-    "unbiasing": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth": (int, True, None),
-        "epsilon": (float, True, None),
-        "samples": (int, True, None),
-        "highly": (_to_bool, False, False),
-    },
-    "couple": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth": (int, True, None),
-        "c1": (int, False, None),
-        "c2": (int, False, None),
-        "mode": (str, False, "down"),
-        "threshold": (float, False, None),
-        "samples": (int, True, None),
-    },
-    "bias": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth_range": (_to_range, True, None),
-        "color": (int, True, None),
-        "samples": (int, True, None),
-    },
-    "concentration": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth": (int, True, None),
-        "color": (int, True, None),
-        "threshold": (float, True, None),
-        "samples": (int, True, None),
-    },
-    "dynamics": {
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "n": (int, True, None),
-        "block_depth": (int, True, None),
-        "steps": (int, False, None),
-        "exact": (_to_bool, False, False),
-        "matrix_out": (str, False, None),
-    },
-    "sweep": {
-        "kind": (str, True, None),
-        "delta": (int, True, None),
-        "k": (int, True, None),
-        "depth_range": (_to_range, True, None),
-        "color": (int, False, None),
-        "c1": (int, False, None),
-        "c2": (int, False, None),
-        "mode": (str, False, "down"),
-        "threshold": (float, False, None),
-        "epsilon": (float, False, None),
-        "highly": (_to_bool, False, False),
-        "samples": (int, True, None),
-    },
-}
+# parameters that go to ExperimentConfig fields, not to its params
+_CONFIG_LEVEL = frozenset({"samples", *_COMMON})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,243 +52,94 @@ def build_parser() -> argparse.ArgumentParser:
                     "dynamics diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        for flag, (caster, _required, _default) in {**_SCHEMAS[name], **_COMMON}.items():
+    for name, kind in KINDS.items():
+        p = sub.add_parser(name, help=kind.help)
+        for flag, (caster, _required, _default) in {**kind.params, **_COMMON}.items():
             arg = "--" + flag.replace("_", "-")
-            if caster is _to_bool:
+            if caster is to_bool:
                 p.add_argument(arg, action="store_const", const=True, default=None)
-            elif caster is _to_range:
+            elif caster is to_range:
                 p.add_argument(arg, type=str, default=None, metavar="L1..L2")
             else:
                 p.add_argument(arg, type=caster, default=None)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="flat key=value parameter file; flags win")
-        return p
-
-    add("marginal", "exact root distribution given a leaf coloring")
-    add("broadcast", "sample leaf colorings of uniform proper colorings")
-    add("unbiasing", "estimate the failure probability of the unbiasing property")
-    add("couple", "coupled-pair experiments: Hamming distance, round-trip TV")
-    add("bias", "root bias decay curve over a depth range")
-    add("concentration", "tail probability of the conditional root weight")
-    add("dynamics", "heat-bath block dynamics: exact matrix or empirical run")
-    add("sweep", "run one estimator across a depth range, emit decay-curve data")
     return parser
 
 
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
     """flags > config file > defaults, with casting and required checks."""
-    schema = {**_SCHEMAS[command], **_COMMON}
     file_values = parse_config_file(args.config) if args.config else {}
     merged = {}
-    for name, (caster, required, default) in schema.items():
+    for name, (caster, required, default) in {**KINDS[command].params, **_COMMON}.items():
         value = getattr(args, name, None)
         if value is None and name in file_values:
             value = caster(file_values[name])
-        if value is None:
-            value = default
-        if value is None and required:
-            raise ValidationError(f"missing required parameter: --{name.replace('_', '-')}")
-        merged[name] = value
+        merged[name] = default if value is None else value
+        if required:
+            _require(merged, name)
     if isinstance(merged.get("depth_range"), str):
-        merged["depth_range"] = _to_range(merged["depth_range"])
-    fmt = merged.get("format")
+        merged["depth_range"] = to_range(merged["depth_range"])
+    fmt = merged["format"]
     if fmt is not None and fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     return merged
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _flat_csv(payload: dict) -> str:
-    """One-row CSV of scalar aggregate values; lists join with ';'."""
-    keys = sorted(payload)
-    cells = []
-    for key in keys:
-        value = payload[key]
-        if isinstance(value, list):
-            cells.append(";".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in value))
-        elif isinstance(value, float):
-            cells.append(repr(value))
-        else:
-            cells.append(str(value))
-    return ",".join(keys) + "\n" + ",".join(cells) + "\n"
-
-
-_CONFIG_LEVEL = frozenset({"samples", "seed", "replicas", "out", "format"})
-
-
-def _make_config(command: str, merged: dict, **extra) -> ExperimentConfig:
-    params = {
-        name: merged[name]
-        for name in _SCHEMAS[command]
-        if name not in _CONFIG_LEVEL and merged.get(name) is not None
-    }
-    params.update(extra)
-    return ExperimentConfig(
-        kind=command,
-        params=params,
-        seed=merged["seed"],
-        samples=merged.get("samples") or 1,
-        replicas=merged["replicas"],
-        out=merged.get("out"),
-        fmt=merged.get("format") or "json",
-    )
-
-
-def _run_marginal_cmd(merged: dict) -> str:
+def _read_leaves(path: str, k: int) -> list[int]:
     try:
-        with open(merged["leaves"], "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             line = fh.readline()
     except OSError as exc:
         raise ValidationError(f"cannot read leaves file: {exc}") from None
-    coloring = PartialLeafColoring.from_text(line, merged["k"])
-    merged = dict(merged)
-    merged["leaves"] = [int(v) for v in coloring.values]
-    record = run_experiment(_make_config("marginal", merged))
-    if merged.get("format") == "csv":
-        rows = ["color,weight"]
-        for c, w in enumerate(record.aggregate["weights"], start=1):
-            rows.append(f"{c},{w!r}" if isinstance(w, float) else f"{c},{w}")
-        rows.append(f"backend,{record.aggregate['backend']}")
-        return "\n".join(rows) + "\n"
-    return _json_text(record.aggregate)
+    return [int(v) for v in PartialLeafColoring.from_text(line, k).values]
 
 
-def _run_broadcast_cmd(merged: dict) -> str:
-    record = run_experiment(_make_config("broadcast", merged))
-    agg = record.aggregate
-    if "lines" in agg:
-        return "\n".join(agg["lines"]) + "\n"
-    payload = {**agg, "seed": record.config.seed}
-    if merged.get("format") == "csv":
-        return _flat_csv(payload)
-    return _json_text(payload)
+def _configs(command: str, merged: dict):
+    """One config per depth of a series command, else the command's one config.
 
-
-def _run_simple_cmd(command: str, merged: dict) -> str:
-    record = run_experiment(_make_config(command, merged))
-    payload = {**record.aggregate,
-               "seed": record.config.seed,
-               "samples": record.config.samples,
-               "replicas": record.config.replicas}
-    if merged.get("format") == "csv":
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))
-                or k == "wilson95"}
-        return _flat_csv(flat)
-    return _json_text(payload)
-
-
-def _run_couple_cmd(merged: dict) -> str:
-    if merged.get("mode") != "branching":
-        for name in ("c1", "c2"):
-            if merged.get(name) is None:
-                raise ValidationError(f"missing required parameter: --{name}")
-    record = run_experiment(_make_config("couple", merged))
-    payload = {**record.aggregate,
-               "seed": record.config.seed,
-               "samples": record.config.samples,
-               "replicas": record.config.replicas}
-    if merged.get("format") == "csv":
-        rows = ["estimator,mean,stderr,n"]
-        for est in payload["estimators"]:
-            rows.append(f"{est['estimator']},{est['mean']!r},{est['stderr']!r},{est['n']}")
-        rows.append(f"# seed = {record.config.seed}")
-        return "\n".join(rows) + "\n"
-    return _json_text(payload)
-
-
-def _depth_series(command: str, merged: dict, kind_params: dict) -> list:
-    lo, hi = merged["depth_range"]
-    records = []
-    for ell in range(lo, hi + 1):
-        series = dict(merged)
-        series.update(kind_params)
-        series["depth"] = ell
-        series.pop("depth_range", None)
-        config = ExperimentConfig(
-            kind=command,
-            params={n: v for n, v in series.items()
-                    if (n in _SCHEMAS[command] and n not in _CONFIG_LEVEL
-                        and v is not None) or n == "depth"},
+    `sweep` names the kind it runs in --kind; every other command runs itself.
+    """
+    entry = KINDS[command]
+    kind = merged.get("kind", command)
+    if "kind" in merged:
+        swept = [name for name, k in KINDS.items() if k.replicable]
+        if kind not in swept:
+            raise ValidationError(f"{command} supports {', '.join(swept)}; got {kind!r}")
+        _require(merged, *(name for name, (_c, required, _d) in KINDS[kind].params.items()
+                           if required and name not in ("depth", "depth_range")))
+    depths = range(merged["depth_range"][0], merged["depth_range"][1] + 1) \
+        if entry.series else [None]
+    for ell in depths:
+        params = {name: merged[name] for name in KINDS[kind].params
+                  if name not in _CONFIG_LEVEL and merged.get(name) is not None}
+        if ell is not None:
+            params.pop("depth_range", None)
+            params["depth"] = ell
+        yield ExperimentConfig(
+            kind=kind,
+            params=params,
             seed=merged["seed"],
-            samples=merged["samples"],
+            samples=merged.get("samples", 1),
             replicas=merged["replicas"],
-            fmt=merged.get("format") or "json",
+            fmt=merged["format"] or ("csv" if entry.series else "json"),
             series_index=ell,
         )
-        records.append(run_experiment(config))
-    return records
-
-
-def _run_bias_cmd(merged: dict) -> str:
-    records = _depth_series("bias", merged, {})
-    rows = [r.aggregate for r in records]
-    if merged.get("format") == "json":
-        return _json_text({"rows": rows, "seed": merged["seed"]})
-    out = ["ell,alpha_hat,stderr,n"]
-    for row in rows:
-        out.append(f"{row['ell']},{row['alpha_hat']!r},{row['stderr']!r},{row['n']}")
-    out.append(f"# seed = {merged['seed']}")
-    return "\n".join(out) + "\n"
-
-
-def _run_sweep_cmd(merged: dict) -> str:
-    kind = merged["kind"]
-    if kind not in ("bias", "unbiasing", "couple", "concentration"):
-        raise ValidationError(
-            f"sweep supports bias, unbiasing, couple, concentration; got {kind!r}")
-    if kind == "unbiasing" and merged.get("epsilon") is None:
-        raise ValidationError("missing required parameter: --epsilon")
-    if kind == "bias" and merged.get("color") is None:
-        raise ValidationError("missing required parameter: --color")
-    if kind == "concentration" and (merged.get("color") is None
-                                    or merged.get("threshold") is None):
-        raise ValidationError("concentration sweep needs --color and --threshold")
-    if kind == "couple" and merged.get("mode") != "branching":
-        if merged.get("c1") is None or merged.get("c2") is None:
-            raise ValidationError("couple sweep needs --c1 and --c2")
-    records = _depth_series(kind, merged, {})
-    table = emit_decay_curve(records)
-    if merged.get("format") == "json":
-        return _json_text({**table, "seed": merged["seed"]})
-    return decay_curve_csv(table) + f"# seed = {merged['seed']}\n"
-
-
-def _dispatch(command: str, merged: dict) -> str:
-    if command == "marginal":
-        return _run_marginal_cmd(merged)
-    if command == "broadcast":
-        return _run_broadcast_cmd(merged)
-    if command == "couple":
-        return _run_couple_cmd(merged)
-    if command == "bias":
-        return _run_bias_cmd(merged)
-    if command == "sweep":
-        return _run_sweep_cmd(merged)
-    return _run_simple_cmd(command, merged)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         merged = _merge_params(args.command, args)
-        text = _dispatch(args.command, merged)
-        _emit(text, merged.get("out"))
+        if args.command == "marginal":
+            merged["leaves"] = _read_leaves(merged["leaves"], merged["k"])
+        records = [run_experiment(config) for config in _configs(args.command, merged)]
+        text = KINDS[args.command].render(records)
+        if merged["out"]:
+            with open(merged["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         return 0
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,10 @@
-"""Experiment orchestration: configs, replicas, aggregation, decay curves.
+"""Experiment orchestration: the kind registry, configs, replicas, aggregation,
+decay curves.
+
+`KINDS` holds one `ExperimentKind` record per experiment the CLI offers:
+its parameter schema, whether its samples may be split across replicas,
+its runner, its renderer and its help text.  The CLI, `run_experiment`,
+`ExperimentConfig` validation and `sweep` all read that one table.
 
 A run is fully determined by (config, seed, code version).  Replicas get
 independent RNG streams via RandomSource.split and are folded in replica
@@ -14,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,18 +33,25 @@ from .rng import RandomSource
 from .tree_model import PartialLeafColoring, TreeShape, is_proper
 from .unbiasing import UnbiasingParams, epsilon_from
 
-EXPERIMENT_KINDS = (
-    "marginal",
-    "broadcast",
-    "unbiasing",
-    "couple",
-    "bias",
-    "concentration",
-    "dynamics",
-)
 
-#: kinds whose estimates may be split across replicas
-_REPLICABLE = {"unbiasing", "couple", "bias", "concentration"}
+@dataclass(frozen=True)
+class ExperimentKind:
+    """One experiment: its schema, runner and renderer, read by CLI and harness.
+
+    `params` maps each parameter to (caster, required, default).  `run`
+    takes a config and returns (replica results, aggregate); `render` turns
+    the run's records into the command's output text.  A `series` kind runs
+    once per depth of its `depth_range` and prints csv unless asked for
+    json; `sweep` is the one kind with no runner of its own: it runs
+    another, replicable kind over a depth range.
+    """
+
+    help: str
+    params: dict
+    run: Callable | None
+    render: Callable
+    replicable: bool = False
+    series: bool = False
 
 
 @dataclass(frozen=True)
@@ -47,18 +61,19 @@ class ExperimentConfig:
     seed: int = 0
     samples: int = 1
     replicas: int = 1
-    out: str | None = None
     fmt: str = "json"
     series_index: int | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS or KINDS[self.kind].run is None:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
+        if self.samples < 1:
+            raise ValidationError("samples must be >= 1")
         if self.fmt not in ("json", "csv"):
             raise ValidationError(f"format must be csv or json, got {self.fmt!r}")
-        if self.replicas > 1 and self.kind not in _REPLICABLE:
+        if self.replicas > 1 and not KINDS[self.kind].replicable:
             raise ValidationError(
                 f"kind {self.kind!r} does not support replicas > 1"
             )
@@ -90,9 +105,10 @@ class RunRecord:
 
 
 def _require(params: dict, *names):
-    missing = [n for n in names if params.get(n) is None]
-    if missing:
-        raise ValidationError(f"missing required parameter(s): {', '.join(missing)}")
+    for name in names:
+        if params.get(name) is None:
+            raise ValidationError(
+                f"missing required parameter: --{name.replace('_', '-')}")
     return [params[n] for n in names]
 
 
@@ -157,8 +173,7 @@ def _per_replica(config: ExperimentConfig, run) -> list[dict]:
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Dispatch a config to its implementation and aggregate the replicas."""
     start = time.perf_counter()
-    runner = _RUNNERS.get(config.kind)
-    replica_results, aggregate = runner(config)
+    replica_results, aggregate = KINDS[config.kind].run(config)
     duration = time.perf_counter() - start
     from . import __version__
 
@@ -182,9 +197,7 @@ def _shape_from(params: dict, depth_key: str = "depth") -> tuple[TreeShape, int]
 
 def _run_marginal(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
-    leaves = config.params.get("leaves")
-    if leaves is None:
-        raise ValidationError("missing required parameter(s): leaves")
+    (leaves,) = _require(config.params, "leaves")
     coloring = PartialLeafColoring(k, np.asarray(leaves, dtype=np.int16))
     backend = "rational" if config.params.get("exact") else "float"
     dist = root_marginal(
@@ -202,8 +215,6 @@ def _run_marginal(config: ExperimentConfig):
 
 def _run_broadcast(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
-    if config.samples < 1:
-        raise ValidationError("samples must be >= 1")
     rng = _replica_sources(config)[0]
     rows = sample_leaf_rows(shape, k, config.samples, rng,
                             root_colors=config.params.get("root_color"))
@@ -248,6 +259,8 @@ def _run_unbiasing(config: ExperimentConfig):
 def _run_couple(config: ExperimentConfig):
     params = config.params
     mode = params.get("mode", "down")
+    if mode != "branching":
+        c1, c2 = _require(params, "c1", "c2")
     delta, k = int(params.get("delta", 0)), int(params.get("k", 0))
     depth = int(params.get("depth", -1))
     if delta < 2 or k < 2 or depth < 0:
@@ -258,7 +271,6 @@ def _run_couple(config: ExperimentConfig):
         mean_name, mean_fn = "branching_mean", couplings.branching_mean
         tail_name, tail_fn = "branching_tail", couplings.hamming_tail
     else:
-        c1, c2 = _require(params, "c1", "c2")
         args = (TreeShape(delta, depth), k, int(c1), int(c2))
         if mode == "downup":
             return _run_downup(config, args)
@@ -303,9 +315,7 @@ def _run_downup(config: ExperimentConfig, args: tuple):
 
 def _run_bias(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
-    color = config.params.get("color")
-    if color is None:
-        raise ValidationError("missing required parameter(s): color")
+    (color,) = _require(config.params, "color")
     results = _per_replica(config, lambda n, source: _estimate_dict(
         couplings.estimate_alpha(shape, k, int(color), n, source)))
     pooled = _pool_means(results)
@@ -380,17 +390,6 @@ def _write_matrix_csv(matrix, path: str) -> None:
                 fh.write(f"{i},{j},{val.numerator},{val.denominator}\n")
 
 
-_RUNNERS = {
-    "marginal": _run_marginal,
-    "broadcast": _run_broadcast,
-    "unbiasing": _run_unbiasing,
-    "couple": _run_couple,
-    "bias": _run_bias,
-    "concentration": _run_concentration,
-    "dynamics": _run_dynamics,
-}
-
-
 # ---------------------------------------------------------------------------
 # decay curves
 
@@ -450,6 +449,175 @@ def decay_curve_csv(table: dict) -> str:
 
 def record_json(record: RunRecord) -> str:
     return json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# renderers: a run's records -> the command's output text
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _flat_csv(payload: dict) -> str:
+    """One-row CSV of scalar aggregate values; lists join with ';'."""
+    keys = sorted(payload)
+    cells = []
+    for key in keys:
+        value = payload[key]
+        if isinstance(value, list):
+            cells.append(";".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in value))
+        elif isinstance(value, float):
+            cells.append(repr(value))
+        else:
+            cells.append(str(value))
+    return ",".join(keys) + "\n" + ",".join(cells) + "\n"
+
+
+def _with_run(record: RunRecord) -> dict:
+    config = record.config
+    return {**record.aggregate, "seed": config.seed, "samples": config.samples,
+            "replicas": config.replicas}
+
+
+def _render_marginal(records: list) -> str:
+    (record,) = records
+    if record.config.fmt == "csv":
+        rows = ["color,weight"]
+        for c, w in enumerate(record.aggregate["weights"], start=1):
+            rows.append(f"{c},{w!r}" if isinstance(w, float) else f"{c},{w}")
+        rows.append(f"backend,{record.aggregate['backend']}")
+        return "\n".join(rows) + "\n"
+    return _json_text(record.aggregate)
+
+
+def _render_broadcast(records: list) -> str:
+    (record,) = records
+    agg = record.aggregate
+    if "lines" in agg:
+        return "\n".join(agg["lines"]) + "\n"
+    payload = {**agg, "seed": record.config.seed}
+    return _flat_csv(payload) if record.config.fmt == "csv" else _json_text(payload)
+
+
+def _render_summary(records: list) -> str:
+    (record,) = records
+    payload = _with_run(record)
+    if record.config.fmt == "csv":
+        return _flat_csv({k: v for k, v in payload.items()
+                          if not isinstance(v, (dict, list)) or k == "wilson95"})
+    return _json_text(payload)
+
+
+def _render_couple(records: list) -> str:
+    (record,) = records
+    payload = _with_run(record)
+    if record.config.fmt == "csv":
+        rows = ["estimator,mean,stderr,n"]
+        for est in payload["estimators"]:
+            rows.append(f"{est['estimator']},{est['mean']!r},{est['stderr']!r},{est['n']}")
+        rows.append(f"# seed = {record.config.seed}")
+        return "\n".join(rows) + "\n"
+    return _json_text(payload)
+
+
+def _render_bias(records: list) -> str:
+    rows = [r.aggregate for r in records]
+    seed = records[0].config.seed
+    if records[0].config.fmt == "json":
+        return _json_text({"rows": rows, "seed": seed})
+    out = ["ell,alpha_hat,stderr,n"]
+    for row in rows:
+        out.append(f"{row['ell']},{row['alpha_hat']!r},{row['stderr']!r},{row['n']}")
+    out.append(f"# seed = {seed}")
+    return "\n".join(out) + "\n"
+
+
+def _render_sweep(records: list) -> str:
+    table = emit_decay_curve(records)
+    seed = records[0].config.seed
+    if records[0].config.fmt == "json":
+        return _json_text({**table, "seed": seed})
+    return decay_curve_csv(table) + f"# seed = {seed}\n"
+
+
+# ---------------------------------------------------------------------------
+# the kind registry
+
+
+def to_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValidationError(f"expected a boolean, got {text!r}")
+
+
+def to_range(text: str) -> tuple[int, int]:
+    parts = text.split("..")
+    if len(parts) != 2:
+        raise ValidationError(f"expected a range like 1..6, got {text!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValidationError(f"expected a range like 1..6, got {text!r}") from None
+    if lo > hi:
+        raise ValidationError(f"empty range {text!r}")
+    return lo, hi
+
+
+_TREE = {"delta": (int, True, None), "k": (int, True, None), "depth": (int, True, None)}
+_SAMPLES = {"samples": (int, True, None)}
+
+KINDS: dict[str, ExperimentKind] = {
+    "marginal": ExperimentKind(
+        "exact root distribution given a leaf coloring",
+        {**_TREE, "leaves": (str, True, None), "forbidden_root": (int, False, None),
+         "exact": (to_bool, False, False)},
+        _run_marginal, _render_marginal),
+    "broadcast": ExperimentKind(
+        "sample leaf colorings of uniform proper colorings",
+        {**_TREE, "root_color": (int, False, None), **_SAMPLES,
+         "summary": (to_bool, False, False)},
+        _run_broadcast, _render_broadcast),
+    "unbiasing": ExperimentKind(
+        "estimate the failure probability of the unbiasing property",
+        {**_TREE, "epsilon": (float, True, None), **_SAMPLES,
+         "highly": (to_bool, False, False)},
+        _run_unbiasing, _render_summary, replicable=True),
+    "couple": ExperimentKind(
+        "coupled-pair experiments: Hamming distance, round-trip TV",
+        {**_TREE, "c1": (int, False, None), "c2": (int, False, None),
+         "mode": (str, False, "down"), "threshold": (float, False, None), **_SAMPLES},
+        _run_couple, _render_couple, replicable=True),
+    "bias": ExperimentKind(
+        "root bias decay curve over a depth range",
+        {"delta": (int, True, None), "k": (int, True, None),
+         "depth_range": (to_range, True, None), "color": (int, True, None), **_SAMPLES},
+        _run_bias, _render_bias, replicable=True, series=True),
+    "concentration": ExperimentKind(
+        "tail probability of the conditional root weight",
+        {**_TREE, "color": (int, True, None), "threshold": (float, True, None),
+         **_SAMPLES},
+        _run_concentration, _render_summary, replicable=True),
+    "dynamics": ExperimentKind(
+        "heat-bath block dynamics: exact matrix or empirical run",
+        {"delta": (int, True, None), "k": (int, True, None), "n": (int, True, None),
+         "block_depth": (int, True, None), "steps": (int, False, None),
+         "exact": (to_bool, False, False), "matrix_out": (str, False, None)},
+        _run_dynamics, _render_summary),
+    "sweep": ExperimentKind(
+        "run one estimator across a depth range, emit decay-curve data",
+        {"kind": (str, True, None), "delta": (int, True, None), "k": (int, True, None),
+         "depth_range": (to_range, True, None), "color": (int, False, None),
+         "c1": (int, False, None), "c2": (int, False, None),
+         "mode": (str, False, "down"), "threshold": (float, False, None),
+         "epsilon": (float, False, None), "highly": (to_bool, False, False),
+         **_SAMPLES},
+        None, _render_sweep, series=True),
+}
 
 
 # ---------------------------------------------------------------------------

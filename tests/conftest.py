@@ -1,12 +1,14 @@
 """Shared statistical helpers for the test suite."""
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 from scipy import stats
 
+import treecolor
 from treecolor import TreeShape
 
 CHI2_P_FLOOR = 0.001
@@ -43,3 +45,12 @@ def downward_leaf_law(shape: TreeShape, k: int, root_color: int) -> dict[tuple, 
                 nxt[combo] = nxt.get(combo, Fraction(0)) + step_p
         laws = nxt
     return laws
+
+
+def cli_subprocess_env() -> dict:
+    """The environment for a `python -m treecolor.cli` subprocess: PYTHONPATH
+    leads with the directory of the package these tests import, so the
+    subprocess runs the same code, installed or not."""
+    src = os.path.dirname(os.path.dirname(treecolor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import CHI2_P_FLOOR, chi2_pvalue, downward_leaf_law
+from conftest import CHI2_P_FLOOR, chi2_pvalue, cli_subprocess_env, downward_leaf_law
 from treecolor.couplings import (
     coupled_leaf_rows,
     estimate_alpha,
@@ -330,6 +330,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                 [sys.executable, "-m", "treecolor.cli", *argv, "--out", str(path)],
                 capture_output=True,
                 text=True,
+                env=cli_subprocess_env(),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(path.read_bytes())

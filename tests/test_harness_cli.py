@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,13 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import treecolor
+from conftest import cli_subprocess_env
 from treecolor import __version__, dynamics
 from treecolor.cli import main
 from treecolor.dynamics import build_transition_matrix
 from treecolor.errors import ValidationError
 from treecolor.estimators import mean_estimate, proportion_estimate
 from treecolor.harness import (
+    KINDS,
     ExperimentConfig,
     RunRecord,
     _pool_means,
@@ -677,6 +677,52 @@ def test_cli_sweep_validation(capsys):
         "--depth-range", "3..1", "--color", "1", "--samples", "10",
     )
     assert code == 2 and "range" in err
+    # each swept kind's own required parameters, named as the flag
+    base = ["sweep", "--delta", "2", "--k", "3", "--depth-range", "1..2",
+            "--samples", "10"]
+    for extra, flag in (
+        (["--kind", "concentration", "--color", "1"], "--threshold"),
+        (["--kind", "concentration", "--threshold", "0.5"], "--color"),
+        (["--kind", "couple", "--c2", "2"], "--c1"),
+        (["--kind", "couple", "--c1", "1"], "--c2"),
+        (["--kind", "unbiasing"], "--epsilon"),
+    ):
+        code, _, err = run_cli(capsys, *base, *extra)
+        assert code == 2
+        assert err == f"error: missing required parameter: {flag}\n"
+
+
+def test_cli_sweep_accepts_exactly_the_replicable_kinds(capsys):
+    accepted = set()
+    for kind in KINDS:
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", kind, "--delta", "2", "--k", "3",
+            "--depth-range", "1..1", "--samples", "20", "--color", "1",
+            "--threshold", "0.5", "--epsilon", "0.3333", "--c1", "1", "--c2", "2",
+        )
+        if code == 0:
+            accepted.add(kind)
+        else:
+            assert code == 2 and "sweep supports" in err
+    assert accepted == {kind for kind, entry in KINDS.items() if entry.replicable}
+    assert accepted == {"bias", "unbiasing", "couple", "concentration"}
+
+
+def test_cli_rejects_zero_samples(capsys):
+    with pytest.raises(ValidationError, match="samples must be >= 1"):
+        ExperimentConfig(kind="unbiasing", params={}, samples=0)
+    for argv in (
+        ["broadcast", "--depth", "2"],
+        ["unbiasing", "--depth", "2", "--epsilon", "0.3"],
+        ["couple", "--depth", "2", "--c1", "1", "--c2", "2"],
+        ["concentration", "--depth", "1", "--color", "1", "--threshold", "0.5"],
+        ["bias", "--depth-range", "1..2", "--color", "1"],
+        ["sweep", "--kind", "bias", "--depth-range", "1..2", "--color", "1"],
+    ):
+        code, out, err = run_cli(
+            capsys, *argv, "--delta", "2", "--k", "3", "--samples", "0")
+        assert code == 2 and out == ""
+        assert err == "error: samples must be >= 1\n"
 
 
 def test_cli_rejects_replicas_for_one_shot_kinds(tmp_path, capsys):
@@ -703,15 +749,12 @@ def test_cli_out_files_are_byte_identical_across_reruns(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
-    # the subprocess imports the same package as this test, installed or not
-    src = os.path.dirname(os.path.dirname(treecolor.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treecolor.cli", "broadcast", "--delta", "2",
          "--k", "3", "--depth", "1", "--samples", "2", "--seed", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=cli_subprocess_env(),
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
