@@ -15,9 +15,11 @@ Two backends for root marginals:
 * "rational" normalizes the kernel's integer root counts once into
   `fractions.Fraction` weights; exact, intended for trees up to roughly
   10^4 vertices.
-* "float" carries per-color log-weights and normalizes by subtracting the
-  maximum, which keeps deep products stable; it is also available in a
-  batched form used heavily by the samplers.
+* "float" carries per-color log-weights from level to level and normalizes
+  only at the root.  A child's factor 1 - p_c is summed from its other
+  colors, so a message within 2^-53 of a point mass still leaves the other
+  colors their weight.  It is also available in a batched form used
+  heavily by the samplers.
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
@@ -205,14 +207,20 @@ def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
     return p
 
 
-def _combine_up_float(msgs: np.ndarray, branching: int, levels: int) -> np.ndarray:
-    """Fold (batch, width, k) probability messages up `levels` times."""
+def _combine_up_float(logw: np.ndarray, branching: int, levels: int) -> np.ndarray:
+    """Fold (batch, width, k) log-weights up `levels` times.
+
+    A child with message p lets its parent take color c in proportion to
+    1 - p_c, which is summed from the child's other colors: 1 - p_c taken
+    by subtraction rounds to 0 once p_c is within 2^-53 of 1, and would
+    forbid a color the tree allows.
+    """
+    others = 1.0 - np.eye(logw.shape[-1])
     for _ in range(levels):
-        grouped = msgs.reshape(msgs.shape[0], -1, branching, msgs.shape[-1])
         with np.errstate(divide="ignore"):
-            logw = np.log1p(-np.clip(grouped, 0.0, 1.0)).sum(axis=2)
-        msgs = _normalize_log_weights(logw)
-    return msgs
+            logw = np.log(_normalize_log_weights(logw) @ others)
+        logw = logw.reshape(logw.shape[0], -1, branching, logw.shape[-1]).sum(axis=2)
+    return logw
 
 
 def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.ndarray:
@@ -241,8 +249,7 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
     with np.errstate(divide="ignore"):
         log_table = np.log1p(-leaf_msgs)
     logw = log_table[rows].reshape(rows.shape[0], -1, shape.branching, k).sum(axis=2)
-    msgs = _combine_up_float(_normalize_log_weights(logw), shape.branching, shape.depth - 1)
-    return msgs[:, 0, :]
+    return _normalize_log_weights(_combine_up_float(logw, shape.branching, shape.depth - 1)[:, 0, :])
 
 
 def root_marginal_from_block_counts(
@@ -279,8 +286,7 @@ def root_marginal_from_block_counts(
         log_table = np.log1p(-1.0 / np.arange(1, k + 1))
     logw = np.where(unused, log_table[sizes - 1][..., np.newaxis], 0.0)
     logw = logw.reshape(unused.shape[0], -1, shape.branching, k).sum(axis=2)
-    msgs = _combine_up_float(_normalize_log_weights(logw), shape.branching, shape.depth - 2)
-    return msgs[:, 0, :]
+    return _normalize_log_weights(_combine_up_float(logw, shape.branching, shape.depth - 2)[:, 0, :])
 
 
 # ---------------------------------------------------------------------------

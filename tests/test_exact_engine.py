@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecolor import (
     CapacityError,
@@ -253,6 +255,77 @@ def test_block_count_marginals():
     with pytest.raises(ValidationError):
         # counts have the opposite sense of the unused flags
         root_marginal_from_block_counts(shape, k, counts)
+
+
+# ---------------------------------------------------------------------------
+# the float fold near certainty
+
+
+def delta54_rows():
+    """Allowed leaf rows of the Delta=54, depth-3, k=3 tree, with their exact root laws.
+
+    In both, a child of the root sees 54 children uniform on two colors,
+    so its message puts all but about 2^-53 of its mass on one color.
+    First: child 0's leaves are all 1, child 1's all 2, every other leaf 3.
+    Second: child 0's leaves are all 1; child 1 has grandchildren forced
+    to 1 and 3, child 2 to 1 and 2; every other leaf is free.
+    """
+    block = 54 * 54
+    first = np.full(54**3, 3, dtype=np.int16)
+    first[:block] = 1
+    first[block : 2 * block] = 2
+    second = np.zeros(54**3, dtype=np.int16)
+    second[:block] = 1
+    for child, pairs in ((1, ((2, 3), (1, 2))), (2, ((2, 3), (1, 3)))):
+        for grandchild, (a, b) in enumerate(pairs):
+            lo = child * block + grandchild * 54
+            second[lo : lo + 2] = (a, b)
+    return first, second
+
+
+@pytest.mark.parametrize("which, law", [(0, (0.5, 0.5, 0.0)), (1, (1.0, 0.0, 0.0))])
+def test_float_fold_near_certain_messages(which, law):
+    shape = TreeShape(54, 3)
+    coloring = PartialLeafColoring(3, delta54_rows()[which])
+    got = root_marginal(shape, 3, coloring, backend="float").as_floats()
+    exact = root_marginal(shape, 3, coloring, backend="rational").as_floats()
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, law, rtol=0, atol=1e-12)
+
+
+def test_block_fold_near_certain_messages():
+    # the first row's bottom blocks are monochrome: each leaves two colors unused
+    first = delta54_rows()[0]
+    unused = np.ones((1, 54 * 54, 3), dtype=bool)
+    unused[0, np.arange(54 * 54), first[::54] - 1] = False
+    got = root_marginal_from_block_counts(TreeShape(54, 3), 3, unused)
+    np.testing.assert_allclose(got[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
+
+
+_SMALL_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3),
+                 (8, 2), (12, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_backend_matches_rational_on_allowed_colorings(data):
+    delta, depth = data.draw(st.sampled_from(_SMALL_SHAPES))
+    k = data.draw(st.integers(2, 5))
+    shape = TreeShape(delta, depth)
+    # a proper coloring drawn top-down: each vertex shifts its parent's color
+    # by 1..k-1; starring leaves of it gives every allowed partial coloring
+    colors = [data.draw(st.integers(1, k))]
+    shifts = data.draw(st.lists(st.integers(1, k - 1), min_size=shape.vertex_count - 1,
+                                max_size=shape.vertex_count - 1))
+    for v, shift in enumerate(shifts, start=1):
+        colors.append((colors[(v - 1) // delta] - 1 + shift) % k + 1)
+    stars = data.draw(st.lists(st.booleans(), min_size=shape.leaf_count,
+                               max_size=shape.leaf_count))
+    row = np.where(stars, STAR, colors[-shape.leaf_count:]).astype(np.int16)
+    coloring = PartialLeafColoring(k, row)
+    got = root_marginal(shape, k, coloring, backend="float").as_floats()
+    exact = root_marginal(shape, k, coloring, backend="rational").as_floats()
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
