@@ -249,7 +249,8 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
     with np.errstate(divide="ignore"):
         log_table = np.log1p(-leaf_msgs)
     logw = log_table[rows].reshape(rows.shape[0], -1, shape.branching, k).sum(axis=2)
-    return _normalize_log_weights(_combine_up_float(logw, shape.branching, shape.depth - 1)[:, 0, :])
+    logw = _combine_up_float(logw, shape.branching, shape.depth - 1)
+    return _normalize_log_weights(logw[:, 0, :])
 
 
 def root_marginal_from_block_counts(
@@ -286,7 +287,8 @@ def root_marginal_from_block_counts(
         log_table = np.log1p(-1.0 / np.arange(1, k + 1))
     logw = np.where(unused, log_table[sizes - 1][..., np.newaxis], 0.0)
     logw = logw.reshape(unused.shape[0], -1, shape.branching, k).sum(axis=2)
-    return _normalize_log_weights(_combine_up_float(logw, shape.branching, shape.depth - 2)[:, 0, :])
+    logw = _combine_up_float(logw, shape.branching, shape.depth - 2)
+    return _normalize_log_weights(logw[:, 0, :])
 
 
 # ---------------------------------------------------------------------------
