@@ -25,10 +25,10 @@ from .harness import (
     KINDS,
     ExperimentConfig,
     _require,
+    _to_bool,
+    _to_range,
     parse_config_file,
     run_experiment,
-    to_bool,
-    to_range,
 )
 from .tree_model import PartialLeafColoring
 
@@ -56,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=kind.help)
         for flag, (caster, _required, _default) in {**kind.params, **_COMMON}.items():
             arg = "--" + flag.replace("_", "-")
-            if caster is to_bool:
+            if caster is _to_bool:
                 p.add_argument(arg, action="store_const", const=True, default=None)
-            elif caster is to_range:
+            elif caster is _to_range:
                 p.add_argument(arg, type=str, default=None, metavar="L1..L2")
             else:
                 p.add_argument(arg, type=caster, default=None)
@@ -79,7 +79,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         if required:
             _require(merged, name)
     if isinstance(merged.get("depth_range"), str):
-        merged["depth_range"] = to_range(merged["depth_range"])
+        merged["depth_range"] = _to_range(merged["depth_range"])
     fmt = merged["format"]
     if fmt is not None and fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
@@ -103,13 +103,15 @@ def _configs(command: str, merged: dict):
     entry = KINDS[command]
     kind = merged.get("kind", command)
     if "kind" in merged:
-        swept = [name for name, k in KINDS.items() if k.replicable]
+        swept = [name for name, other in KINDS.items() if other.replicable]
         if kind not in swept:
             raise ValidationError(f"{command} supports {', '.join(swept)}; got {kind!r}")
         _require(merged, *(name for name, (_c, required, _d) in KINDS[kind].params.items()
                            if required and name not in ("depth", "depth_range")))
-    depths = range(merged["depth_range"][0], merged["depth_range"][1] + 1) \
-        if entry.series else [None]
+    depths = [None]
+    if entry.series:
+        lo, hi = merged["depth_range"]
+        depths = range(lo, hi + 1)
     for ell in depths:
         params = {name: merged[name] for name in KINDS[kind].params
                   if name not in _CONFIG_LEVEL and merged.get(name) is not None}

@@ -546,7 +546,7 @@ def _render_sweep(records: list) -> str:
 # the kind registry
 
 
-def to_bool(text: str) -> bool:
+def _to_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -555,7 +555,7 @@ def to_bool(text: str) -> bool:
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
-def to_range(text: str) -> tuple[int, int]:
+def _to_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
         raise ValidationError(f"expected a range like 1..6, got {text!r}")
@@ -575,17 +575,17 @@ KINDS: dict[str, ExperimentKind] = {
     "marginal": ExperimentKind(
         "exact root distribution given a leaf coloring",
         {**_TREE, "leaves": (str, True, None), "forbidden_root": (int, False, None),
-         "exact": (to_bool, False, False)},
+         "exact": (_to_bool, False, False)},
         _run_marginal, _render_marginal),
     "broadcast": ExperimentKind(
         "sample leaf colorings of uniform proper colorings",
         {**_TREE, "root_color": (int, False, None), **_SAMPLES,
-         "summary": (to_bool, False, False)},
+         "summary": (_to_bool, False, False)},
         _run_broadcast, _render_broadcast),
     "unbiasing": ExperimentKind(
         "estimate the failure probability of the unbiasing property",
         {**_TREE, "epsilon": (float, True, None), **_SAMPLES,
-         "highly": (to_bool, False, False)},
+         "highly": (_to_bool, False, False)},
         _run_unbiasing, _render_summary, replicable=True),
     "couple": ExperimentKind(
         "coupled-pair experiments: Hamming distance, round-trip TV",
@@ -595,7 +595,7 @@ KINDS: dict[str, ExperimentKind] = {
     "bias": ExperimentKind(
         "root bias decay curve over a depth range",
         {"delta": (int, True, None), "k": (int, True, None),
-         "depth_range": (to_range, True, None), "color": (int, True, None), **_SAMPLES},
+         "depth_range": (_to_range, True, None), "color": (int, True, None), **_SAMPLES},
         _run_bias, _render_bias, replicable=True, series=True),
     "concentration": ExperimentKind(
         "tail probability of the conditional root weight",
@@ -606,15 +606,15 @@ KINDS: dict[str, ExperimentKind] = {
         "heat-bath block dynamics: exact matrix or empirical run",
         {"delta": (int, True, None), "k": (int, True, None), "n": (int, True, None),
          "block_depth": (int, True, None), "steps": (int, False, None),
-         "exact": (to_bool, False, False), "matrix_out": (str, False, None)},
+         "exact": (_to_bool, False, False), "matrix_out": (str, False, None)},
         _run_dynamics, _render_summary),
     "sweep": ExperimentKind(
         "run one estimator across a depth range, emit decay-curve data",
         {"kind": (str, True, None), "delta": (int, True, None), "k": (int, True, None),
-         "depth_range": (to_range, True, None), "color": (int, False, None),
+         "depth_range": (_to_range, True, None), "color": (int, False, None),
          "c1": (int, False, None), "c2": (int, False, None),
          "mode": (str, False, "down"), "threshold": (float, False, None),
-         "epsilon": (float, False, None), "highly": (to_bool, False, False),
+         "epsilon": (float, False, None), "highly": (_to_bool, False, False),
          **_SAMPLES},
         None, _render_sweep, series=True),
 }
