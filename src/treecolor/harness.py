@@ -448,7 +448,7 @@ def decay_curve_csv(table: dict) -> str:
 
 
 def record_json(record: RunRecord) -> str:
-    return json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(record.to_dict())
 
 
 # ---------------------------------------------------------------------------

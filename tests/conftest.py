@@ -1,4 +1,4 @@
-"""Shared statistical helpers for the test suite."""
+"""Shared helpers for the test suite: statistics, exact laws and the CLI subprocess environment."""
 from __future__ import annotations
 
 import os
