@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (
@@ -74,7 +75,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
     for name, (caster, required, default) in {**KINDS[command].params, **_COMMON}.items():
         value = getattr(args, name, None)
         if value is None and name in file_values:
-            value = caster(file_values[name])
+            value = _cast_file_value(name, caster, file_values[name])
         merged[name] = default if value is None else value
         if required:
             _require(merged, name)
@@ -84,6 +85,22 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
     if fmt is not None and fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     return merged
+
+
+def _cast_file_value(name: str, caster, text: str):
+    try:
+        return caster(text)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(f"config key {name!r}: cannot read {text!r}") from None
+
+
+def _check_out_dir(path: str | None) -> None:
+    """Refuse an --out path whose directory is missing before any work is done."""
+    folder = os.path.dirname(path) if path else ""
+    if folder and not os.path.isdir(folder):
+        raise ValidationError(f"output directory {folder!r} does not exist")
 
 
 def _read_leaves(path: str, k: int) -> list[int]:
@@ -133,13 +150,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         merged = _merge_params(args.command, args)
+        _check_out_dir(merged["out"])
         if args.command == "marginal":
             merged["leaves"] = _read_leaves(merged["leaves"], merged["k"])
         records = [run_experiment(config) for config in _configs(args.command, merged)]
         text = KINDS[args.command].render(records)
         if merged["out"]:
-            with open(merged["out"], "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(merged["out"], "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write --out file: {exc}") from None
         else:
             sys.stdout.write(text)
         return 0

@@ -18,8 +18,11 @@ Two backends for root marginals:
 * "float" carries per-color log-weights from level to level and normalizes
   only at the root.  A child's factor 1 - p_c is summed from its other
   colors, so a message within 2^-53 of a point mass still leaves the other
-  colors their weight.  It is also available in a batched form used
-  heavily by the samplers.
+  colors their weight.  Its batched form, `root_marginal_batch`, gathers
+  the first level from the leaves; `_fold_factors`, the fold it ends in,
+  also folds the bottom-level messages that
+  `broadcast_sampler.posterior_rows` draws from exact tables in place of
+  leaves.
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
@@ -248,46 +251,18 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
     # the first fold level, gathered from log1p(-message) per leaf value
     with np.errstate(divide="ignore"):
         log_table = np.log1p(-leaf_msgs)
-    logw = log_table[rows].reshape(rows.shape[0], -1, shape.branching, k).sum(axis=2)
-    logw = _combine_up_float(logw, shape.branching, shape.depth - 1)
-    return _normalize_log_weights(logw[:, 0, :])
+    return _fold_factors(log_table[rows], shape.branching, shape.depth)
 
 
-def root_marginal_from_block_counts(
-    shape: TreeShape, k: int, unused: np.ndarray
-) -> np.ndarray:
-    """Root marginals given only the set of colors each bottom block leaves unused.
+def _fold_factors(factors: np.ndarray, branching: int, depth: int) -> np.ndarray:
+    """(batch, k) root marginals from the log-factors log(1 - m) of the
+    messages m of every vertex at one depth >= 1, given as (batch, width, k).
 
-    `unused` is the (batch, block_count, k) bool array of
-    `broadcast_sampler.sample_block_counts`, which draws it from the
-    occupancy law of a block's leaves in the k-1 colors other than their
-    parent's (a count array is rejected).  The recursion one level above
-    the leaves sees a block of siblings only through the colors it leaves
-    unused: its parent's message is uniform over those s colors.  The first
-    fold level gathers log(1 - 1/s) into the unused entries of each child
-    block and sums over siblings.  Requires depth >= 1; an empty batch
-    gives (0, k).
+    Sums each block of siblings into their parent's log-weights, then folds
+    the remaining depth - 1 levels.
     """
-    if shape.depth < 1:
-        raise ValidationError("block counts need a tree of depth >= 1")
-    unused = np.asarray(unused)
-    if unused.dtype != bool:
-        raise ValidationError("block statistics must be a bool array of unused colors")
-    expected_blocks = shape.branching ** (shape.depth - 1)
-    if unused.ndim != 3 or unused.shape[1] != expected_blocks or unused.shape[2] != k:
-        raise ValidationError("unused colors must be (batch, block_count, k)")
-    if unused.shape[0] == 0:
-        return np.empty((0, k))
-    sizes = unused.sum(axis=-1)
-    if (sizes == 0).any():
-        raise InfeasibleBoundaryError("a bottom block uses all colors")
-    if shape.depth == 1:
-        return unused[:, 0, :] / sizes[:, :1]
-    with np.errstate(divide="ignore"):
-        log_table = np.log1p(-1.0 / np.arange(1, k + 1))
-    logw = np.where(unused, log_table[sizes - 1][..., np.newaxis], 0.0)
-    logw = logw.reshape(unused.shape[0], -1, shape.branching, k).sum(axis=2)
-    logw = _combine_up_float(logw, shape.branching, shape.depth - 2)
+    logw = factors.reshape(factors.shape[0], -1, branching, factors.shape[-1]).sum(axis=2)
+    logw = _combine_up_float(logw, branching, depth - 1)
     return _normalize_log_weights(logw[:, 0, :])
 
 

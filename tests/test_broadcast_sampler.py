@@ -23,9 +23,18 @@ from treecolor import (
     sample_leaf_rows,
     sample_leaves_given_root,
 )
-from treecolor.broadcast_sampler import _unused_slot_law, posterior_rows, sample_from_rows
+from treecolor.broadcast_sampler import (
+    _message_law,
+    _message_table,
+    _support_size,
+    _table_height,
+    _unused_log_factors,
+    _unused_slot_law,
+    posterior_rows,
+    sample_from_rows,
+)
 from treecolor.rng import integer_below
-from treecolor.exact_engine import root_marginal_batch
+from treecolor.exact_engine import _fold_factors, count_levels, root_marginal_batch
 
 from conftest import CHI2_P_FLOOR, chi2_pvalue, downward_leaf_law
 
@@ -271,15 +280,101 @@ def test_down_up_uniform_mixture():
         assert abs(counts[c] / n - 1 / k) < 3 * se + 1e-12
 
 
+# ---------------------------------------------------------------------------
+# exact message tables and the posterior route
+
+
+def normalized(vec) -> tuple:
+    total = sum(vec)
+    return tuple(Fraction(x, total) for x in vec)
+
+
+@pytest.mark.parametrize("branching, k, height", [
+    (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 4, 2), (2, 2, 1), (3, 2, 3),
+])
+def test_message_tables_match_enumerated_counts(branching, k, height):
+    # the law of the root's normalized counts over every broadcast from root 1
+    expected: dict[tuple, Fraction] = {}
+    for row, p in downward_leaf_law(TreeShape(branching, height), k, 1).items():
+        bottom = [[int(c == v) for c in range(1, k + 1)] for v in row]
+        key = normalized(count_levels(bottom, branching, height)[-1][0])
+        expected[key] = expected.get(key, Fraction(0)) + p
+    entries, denominator = _message_law(branching, k, height)
+    got = {normalized(vec): Fraction(w, denominator) for vec, w in entries}
+    assert got == expected
+    assert len(entries) == _support_size(branching, k, height)
+    # the float table is the exact one rounded once per entry
+    cdf, log_factors, messages = _message_table(branching, k, height)
+    cumulative = np.cumsum([Fraction(w, denominator) for _, w in entries])
+    assert cdf.tolist() == [float(c) for c in cumulative]
+    assert cdf[-1] == 1.0
+    exact = [normalized(vec) for vec, _ in entries]
+    assert messages.tolist() == [[float(m) for m in msg] for msg in exact]
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(log_factors, np.log1p(-messages), rtol=1e-15, atol=0)
+
+
+def test_height1_support_closed_form():
+    for branching, k in [(2, 3), (3, 5), (2, 6), (4, 4), (5, 2)]:
+        assert _support_size(branching, k, 1) == len(_message_law(branching, k, 1)[0])
+
+
+def test_table_heights():
+    assert [_table_height(2, 3, depth) for depth in (0, 1, 3, 4, 12)] == [0, 1, 3, 4, 4]
+    assert _table_height(20, 3, 5) == 2
+    assert _table_height(2, 5, 12) == 3
+    assert _table_height(20, 8, 5) == _table_height(20, 9, 5) == 1
+    # two colors leave one message per height, so only the depth stops the choice
+    assert _table_height(3, 2, 40) == 40
+
+
+def two_sample_pvalue(first: np.ndarray, second: np.ndarray, bins: int = 6) -> float:
+    """Chi-square homogeneity p-value of two samples of posterior rows, binned
+    jointly on their first two columns by the pooled quantiles.  Rows are
+    rounded first, so that a value both routes reach falls in one bin."""
+    first, second = np.round(first, 9), np.round(second, 9)
+    cells = []
+    pooled = np.vstack([first, second])
+    for column in (0, 1):
+        edges = np.unique(np.quantile(pooled[:, column], np.linspace(0, 1, bins + 1)[1:-1]))
+        cells.append([np.searchsorted(edges, rows[:, column]) for rows in (first, second)])
+    table = np.zeros((2, (bins + 1) ** 2), dtype=np.int64)
+    for sample in (0, 1):
+        index = cells[0][sample] * (bins + 1) + cells[1][sample]
+        table[sample] += np.bincount(index, minlength=table.shape[1])
+    table = table[:, table.sum(axis=0) > 0]
+    _, p, _, _ = stats.chi2_contingency(table)
+    return p
+
+
 def test_posterior_rows_match_batch_marginals():
-    shape = TreeShape(2, 2)
-    k = 3
-    n = 64
-    rows = posterior_rows(shape, k, n, RandomSource(9), root_colors=2)
-    assert rows.shape == (n, k)
-    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-    leaf_rows = sample_leaf_rows(shape, k, n, RandomSource(9), root_colors=2)
-    np.testing.assert_allclose(rows, root_marginal_batch(shape, k, leaf_rows), atol=1e-12)
+    n = 20_000
+    for branching, k, depth, root in [
+        (2, 3, 3, 2),      # depth below the table height 4
+        (2, 3, 4, None),   # depth equal to it
+        (2, 3, 6, 3),      # two levels folded above it
+        (6, 8, 3, 2),      # table height 1: the occupancy law
+    ]:
+        shape = TreeShape(branching, depth)
+        rows = posterior_rows(shape, k, n, RandomSource(9 + depth), root_colors=root)
+        assert rows.shape == (n, k)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+        leaf_rows = sample_leaf_rows(shape, k, n, RandomSource(90 + depth), root_colors=root)
+        reference = root_marginal_batch(shape, k, leaf_rows)
+        assert two_sample_pvalue(rows, reference) > CHI2_P_FLOOR
+
+
+def test_posterior_rows_at_height1_are_block_counts():
+    # the occupancy draw of `sample_block_counts`, then the log(1 - 1/s) fold
+    shape = TreeShape(6, 3)
+    unused = sample_block_counts(shape, 8, 50, RandomSource(4), root_colors=5)
+    expected = _fold_factors(_unused_log_factors(unused), 6, 2)
+    got = posterior_rows(shape, 8, 50, RandomSource(4), root_colors=5)
+    assert np.array_equal(got, expected)
+    # depth 1: the root's message is uniform on its unused colors
+    unused = sample_block_counts(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
+    got = posterior_rows(TreeShape(6, 1), 8, 50, RandomSource(5))
+    assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
 
 
 def test_posterior_rows_depth0():

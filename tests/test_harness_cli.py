@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_subprocess_env
-from treecolor import __version__, dynamics
+from treecolor import __version__, cli, dynamics
 from treecolor.cli import main
 from treecolor.dynamics import build_transition_matrix
 from treecolor.errors import ValidationError
@@ -624,6 +624,42 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["color_counts"]) == 3  # flag beat the file's k = 4
     assert payload["color_counts"][1] == 0  # file's root-color applied
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("broadcast", "k = x\n", "k"),
+    ("concentration", "k = 3\ncolor = 1\nthreshold = x\n", "threshold"),
+], ids=["int", "float"])
+def test_cli_config_file_bad_number_exits_2(tmp_path, capsys, command, extra, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("delta = 2\ndepth = 1\nsamples = 2\n" + extra)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and repr(key) in err and "'x'" in err
+
+
+def test_cli_out_in_missing_directory_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("no experiment may run")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    target = tmp_path / "missing_dir" / "x.txt"
+    code, _, err = run_cli(
+        capsys, "broadcast", "--delta", "2", "--k", "3", "--depth", "1",
+        "--samples", "2", "--out", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "missing_dir" in err
+    assert not target.parent.exists()
+
+
+def test_cli_out_write_failure_exits_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    code, _, err = run_cli(
+        capsys, "broadcast", "--delta", "2", "--k", "3", "--depth", "1",
+        "--samples", "2", "--out", str(tmp_path),
+    )
+    assert code == 2 and err.startswith("error: cannot write --out file")
 
 
 def test_cli_bias_depth_series(capsys):
