@@ -9,6 +9,12 @@ Routing the chosen vertex to its ancestor keeps blocks full-depth and
 makes every move a whole-tree resample once block_depth reaches the tree
 depth; at block_depth 0 it is plain single-site Glauber.
 
+Every move goes through one in-place kernel that reads and redraws only
+the block and its outside neighbors, so a move costs O(block).  A chain
+runs on one list of colors and validates its coloring once, at exit;
+single moves (`heat_bath_block`, `step`) copy, redraw and validate the
+new state.
+
 On instances small enough to enumerate, the full transition matrix is
 assembled in exact rationals.  The mixing time is certified: float64
 powers of the kernel decide the 1/(2e) threshold test at step t whenever
@@ -101,43 +107,47 @@ def heat_bath_block(
 ) -> DynamicsState:
     """Resample the block under v exactly uniformly given the outside.
 
+    Copies the coloring, redraws the block with `_resample` and returns a
+    new state, validated once as a `FullColoring`; `state` is unchanged.
+    """
+    shape = state.shape
+    shape._check_vertex(v)
+    values = state.coloring.values.tolist()
+    _resample(values, shape.branching, state.k, _block_levels(shape, v, block_depth),
+              rng.generator)
+    return DynamicsState(shape, state.k, FullColoring(state.k, values), state.time)
+
+
+def _resample(values: list, b: int, k: int, levels: list, gen: np.random.Generator) -> None:
+    """Redraw the block `levels` (from `_block_levels`) of `values` in place.
+
     The block is a complete subtree.  `count_levels` counts its proper
     completions bottom-up, each frontier vertex allowing the colors its
     children outside the block leave free; colors are then drawn top-down
     from those big-integer counts, each exactly uniform via integer_below.
+    Only the block and its outside neighbors are read, so a move costs
+    O(block) whatever the size of the tree.
     """
-    shape, k = state.shape, state.k
-    values = state.coloring.values
-    gen = rng.generator
-    b = shape.branching
-    parent_color = None if v == 0 else int(values[(v - 1) // b])
-    levels = _block_levels(shape, v, block_depth)
-
+    v = levels[0][0]
+    parent_color = values[(v - 1) // b] if v else None
     if len(levels) == 1:
-        # single-site fast path: avoid any color used by a neighbor
-        forbidden = set()
-        if parent_color is not None:
-            forbidden.add(parent_color)
-        if not shape.is_leaf(v):
-            forbidden.update(int(values[c]) for c in range(v * b + 1, v * b + b + 1))
+        # single-site fast path: avoid any color used by a neighbor; a
+        # leaf's child indices lie past the end, so it has no children
+        forbidden = set(values[v * b + 1 : v * b + b + 1])
+        forbidden.add(parent_color)
         options = [c for c in range(1, k + 1) if c not in forbidden]
-        new_color = options[int(gen.integers(0, len(options)))]
-        new_values = values.copy()
-        new_values[v] = new_color
-        return DynamicsState(shape, k, FullColoring(k, new_values), state.time)
+        values[v] = options[int(gen.integers(0, len(options)))]
+        return
 
     bottom = []
     for w in levels[-1]:
-        # a leaf's child indices lie past the end, so it has no outside children
-        outside = set(values[w * b + 1 : w * b + b + 1].tolist())
+        outside = set(values[w * b + 1 : w * b + b + 1])
         bottom.append([int(c not in outside) for c in range(1, k + 1)])
     counts = count_levels(bottom, b, len(levels) - 1)[::-1]  # counts[j][i] for levels[j][i]
-    new_values = values.copy()
-    new_values[v] = _draw_color(gen, counts[0][0], parent_color)
+    values[v] = _draw_color(gen, counts[0][0], parent_color)
     for level, level_counts in zip(levels[1:], counts[1:]):
         for w, vec in zip(level, level_counts):
-            new_values[w] = _draw_color(gen, vec, int(new_values[(w - 1) // b]))
-    return DynamicsState(shape, k, FullColoring(k, new_values), state.time)
+            values[w] = _draw_color(gen, vec, values[(w - 1) // b])
 
 
 def _draw_color(gen: np.random.Generator, counts: list, avoid: int | None) -> int:
@@ -179,6 +189,11 @@ def run_chain(
     With `thin=m`, only every m-th visited coloring is tallied --
     consecutive chain states are correlated, so thinned tallies are the
     ones to feed into independence-assuming test statistics.
+
+    The chain runs in place on one list of colors, each move redrawing
+    only its block, and the final coloring is validated once, as a
+    `FullColoring` and for properness, when the chain returns; `state`
+    itself is unchanged.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -186,17 +201,21 @@ def run_chain(
         raise ValidationError("thin must be >= 1")
     if steps == 0:
         return state
-    choices = rng.generator.integers(0, state.shape.vertex_count, size=steps)
-    roots = {v: block_root(state.shape, v, block_depth)
-             for v in range(state.shape.vertex_count)}
-    time = state.time
-    for i, v in enumerate(choices):
-        state = heat_bath_block(state, roots[int(v)], block_depth, rng)
-        assert is_proper(state.shape, state.coloring)
-        if visit_counts is not None and (i + 1) % thin == 0:
-            key = tuple(int(c) for c in state.coloring.values)
+    shape, k = state.shape, state.k
+    gen = rng.generator
+    choices = gen.integers(0, shape.vertex_count, size=steps)
+    roots = [block_root(shape, v, block_depth) for v in range(shape.vertex_count)]
+    blocks = {root: _block_levels(shape, root, block_depth) for root in set(roots)}
+    values = state.coloring.values.tolist()
+    b = shape.branching
+    for i, v in enumerate(choices.tolist(), 1):
+        _resample(values, b, k, blocks[roots[v]], gen)
+        if visit_counts is not None and i % thin == 0:
+            key = tuple(values)
             visit_counts[key] = visit_counts.get(key, 0) + 1
-    return DynamicsState(state.shape, state.k, state.coloring, time + steps)
+    final = DynamicsState(shape, k, FullColoring(k, values), state.time + steps)
+    assert is_proper(shape, final.coloring)
+    return final
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ def test_block_vertices_examples():
     state = proper_state(shape, 3, [1, 2, 3, 1, 3, 1, 2])
     with pytest.raises(ValidationError):
         heat_bath_block(state, 1, -1, RandomSource(1))
+    for block_depth in (0, 1):
+        with pytest.raises(ValidationError):
+            heat_bath_block(state, 10**6, block_depth, RandomSource(1))
 
 
 def test_block_root_walks_up_and_clips():
@@ -193,6 +196,74 @@ def test_run_chain_bookkeeping_and_determinism():
     assert np.array_equal(out1.coloring.values, out2.coloring.values)
     assert not np.array_equal(out1.coloring.values, out3.coloring.values)
     assert run_chain(start, 1, 0, RandomSource(5)) is start
+
+
+def striped_state(shape: TreeShape, k: int) -> DynamicsState:
+    """Color 1 + (depth mod k) everywhere: proper, and drawn from no stream."""
+    values = [1 + shape.depth_of(v) % k for v in range(shape.vertex_count)]
+    return proper_state(shape, k, values)
+
+
+# Final colorings of run_chain, as digit strings in level order, recorded
+# from the per-move implementation that copied and re-validated the whole
+# coloring on every move.  The in-place chain must make the same draws in
+# the same order, so these stay fixed for these seeds.
+PINNED_CHAINS = [
+    ((2, 8, 3), 0, 3000, 801, (
+        "1223333111111112222222222222222333333333333333333333333333333331"
+        "1111111111111111111111111111111111111112111111111111121111111112"
+        "2323333222322222322222223222233222223222222232222222222223322223"
+        "2222233232332223322233222322232322232323222313322222223232223231"
+        "3111111211121121131312131113333332233313131313113213131333311111"
+        "1133113331133311311111131221133133111313313133331312121133111312"
+        "1331131311322113112112111111331121111331122123331311133131311111"
+        "231131311111131111111331122112111311333311311111112133133123322"
+    )),
+    ((2, 8, 3), 2, 600, 802, (
+        "1223111222322321331331233131233221211332211233312113222321312211"
+        "1332231332312111313323211212221331332332231133321112222233133333"
+        "3332121111321332222331222132232331123222131111123331322311111322"
+        "2123322213322123311222322211122313222333111333333121133112111121"
+        "1122122133233222332231233332222313111311121323313113322131111311"
+        "2112233312231133323212323233223332122213322113122222223323211333"
+        "3113231112233113332221113333211111133333111111211333332232231111"
+        "222223313332121212323222211121111123213232211212333132333322313"
+    )),
+    ((3, 3, 4), 1, 1000, 803, "2111444423233232113222223111412414141112"),
+]
+
+
+@pytest.mark.parametrize("dims, block_depth, steps, seed, final", PINNED_CHAINS)
+def test_run_chain_draw_stream_is_pinned(dims, block_depth, steps, seed, final):
+    branching, depth, k = dims
+    start = striped_state(TreeShape(branching, depth), k)
+    before = start.coloring.values.copy()
+    out = run_chain(start, block_depth, steps, RandomSource(seed))
+    assert out.time == steps
+    assert "".join(str(int(c)) for c in out.coloring.values) == final
+    assert np.array_equal(start.coloring.values, before)
+
+
+def test_thinned_tallies_are_pinned_and_inputs_untouched():
+    start = striped_state(TreeShape(2, 1), 3)
+    visits: dict = {}
+    out = run_chain(start, 0, 2400, RandomSource(804), visit_counts=visits, thin=50)
+    assert out.time == 2400
+    assert visits == {
+        (1, 2, 2): 2, (1, 2, 3): 5, (1, 3, 2): 4, (1, 3, 3): 4,
+        (2, 1, 1): 4, (2, 1, 3): 2, (2, 3, 1): 1, (2, 3, 3): 3,
+        (3, 1, 1): 5, (3, 1, 2): 3, (3, 2, 1): 7, (3, 2, 2): 8,
+    }
+    assert all(type(c) is int for key in visits for c in key)
+    # the single-move wrappers leave their input state untouched too
+    state = striped_state(TreeShape(2, 3), 3)
+    before = state.coloring.values.copy()
+    rng = RandomSource(805)
+    for block_depth in (0, 1, 2):
+        heat_bath_block(state, 1, block_depth, rng)
+        step(state, block_depth, rng)
+    assert np.array_equal(state.coloring.values, before)
+    assert state.time == 0
 
 
 def test_run_chain_thinning_tallies():
