@@ -10,7 +10,9 @@ vertices sample once and share.
 
 Sampling is done level by level over whole batches; the second copy is
 stored as the first plus a disagreement overlay, so agreeing subtrees are
-never duplicated.
+never duplicated.  The Hamming estimators go further and never draw an
+agreeing vertex at all: they follow only the disagreement frontier, whose
+size is a branching process with mean offspring branching/(k-1).
 """
 from __future__ import annotations
 
@@ -54,34 +56,35 @@ def _check_color(k: int, c: int, name: str) -> int:
     return c
 
 
+def _check_roots(k: int, c1: int, c2: int) -> tuple[int, int]:
+    if k < 2:
+        raise ValidationError(f"need at least 2 colors, got k={k}")
+    return _check_color(k, c1, "c1"), _check_color(k, c2, "c2")
+
+
 def coupled_leaf_rows(
     shape: TreeShape, k: int, c1: int, c2: int, n: int, rng: RandomSource
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n coupled pairs as arrays: first-copy rows, second-copy rows, and the
     boolean disagreement overlay."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
-    c1 = _check_color(k, c1, "c1")
-    c2 = _check_color(k, c2, "c2")
+    c1, c2 = _check_roots(k, c1, c2)
     gen = rng.generator
     x = np.full((n, 1), c1, dtype=np.int16)
     if c1 == c2:
         for _ in range(shape.depth):
             x = broadcast_sampler._next_level(x, k, shape.branching, gen)
         return x, x.copy(), np.zeros_like(x, dtype=bool)
-    disagree = np.ones((n, 1), dtype=bool)
+    # partner is the second copy's color where the copies differ, 0 elsewhere
     partner = np.full((n, 1), c2, dtype=np.int16)
+    b = shape.branching
     for _ in range(shape.depth):
-        child_x = broadcast_sampler._next_level(x, k, shape.branching, gen)
-        b = shape.branching
-        parent_x = np.repeat(x, b, axis=1)
-        parent_dis = np.repeat(disagree, b, axis=1)
-        parent_partner = np.repeat(partner, b, axis=1)
-        child_dis = parent_dis & (child_x == parent_partner)
+        child_x = broadcast_sampler._next_level(x, k, b, gen)
+        child_dis = child_x == np.repeat(partner, b, axis=1)
         # a child in disagreement flips to its parent's first-copy color
-        partner = np.where(child_dis, parent_x, 0).astype(np.int16)
-        x, disagree = child_x, child_dis
-    y = np.where(disagree, partner, x).astype(np.int16)
+        partner = np.repeat(x, b, axis=1) * child_dis
+        x = child_x
+    disagree = partner != 0
+    y = np.where(disagree, partner, x)
     return x, y, disagree
 
 
@@ -100,14 +103,41 @@ def downward_couple(
 def _hamming_distances(
     shape: TreeShape, k: int, c1: int, c2: int, n: int, rng: RandomSource
 ) -> np.ndarray:
-    """Number of disagreeing leaves in each of n coupled pairs."""
-    return coupled_leaf_rows(shape, k, c1, c2, n, rng)[2].sum(axis=1)
+    """Number of disagreeing leaves in each of n coupled pairs.
+
+    Only the disagreement frontier is drawn: each disagreeing vertex carries
+    its pair index, its first-copy color a and its partner color b, and each
+    of its children draws u uniform on [k]\\{a}, surviving as (b, a) when
+    u = b -- the rule of `coupled_leaf_rows`.  Agreeing vertices are never
+    drawn.
+    """
+    c1, c2 = _check_roots(k, c1, c2)
+    if c1 == c2:
+        return np.zeros(n, dtype=np.int64)
+    gen = rng.generator
+    b = shape.branching
+    pair = np.arange(n)
+    a = np.full(n, c1, dtype=np.int16)
+    partner = np.full(n, c2, dtype=np.int16)
+    for _ in range(shape.depth):
+        pair = np.repeat(pair, b)
+        a = np.repeat(a, b)
+        partner = np.repeat(partner, b)
+        r = gen.integers(1, k, size=a.shape, dtype=np.int16)
+        flip = r + (r >= a) == partner
+        pair, a, partner = pair[flip], partner[flip], a[flip]
+    return np.bincount(pair, minlength=n)
 
 
 def estimate_hamming(
     shape: TreeShape, k: int, c1: int, c2: int, samples: int, rng: RandomSource
 ) -> Estimate:
-    """Mean number of disagreeing leaves across coupled pairs."""
+    """Mean number of disagreeing leaves across coupled pairs.
+
+    Draws only the disagreement frontier (see `_hamming_distances`), so the
+    cost follows the number of disagreeing vertices, about
+    (branching/(k-1))**depth per pair, not the leaf count.
+    """
     sums = batch_sums(samples, shape.leaf_count,
                       lambda m: _hamming_distances(shape, k, c1, c2, m, rng))
     return mean_estimate(*sums, samples)
@@ -166,7 +196,10 @@ def hamming_tail_tree(
     samples: int,
     rng: RandomSource,
 ) -> TailEstimate:
-    """Pr[number of disagreeing leaves > threshold] under the tree coupling."""
+    """Pr[number of disagreeing leaves > threshold] under the tree coupling.
+
+    Like `estimate_hamming`, draws only the disagreement frontier.
+    """
     successes, _ = batch_sums(
         samples, shape.leaf_count,
         lambda m: _hamming_distances(shape, k, c1, c2, m, rng) > threshold)

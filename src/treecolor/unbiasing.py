@@ -80,10 +80,13 @@ def _level_flags(
 
 
 def _unused_counts_from_rows(rows: np.ndarray, branching: int, k: int) -> np.ndarray:
-    blocks = rows.reshape(rows.shape[0], -1, branching)
-    used = np.zeros(blocks.shape[:2], dtype=np.int64)
+    # siblings on a contiguous leading axis, (branching, batch, blocks):
+    # .any(axis=0) then folds whole slices, where .any over a short trailing
+    # sibling axis runs several times slower
+    blocks = np.moveaxis(rows.reshape(rows.shape[0], -1, branching), 2, 0).copy()
+    used = np.zeros(blocks.shape[1:], dtype=np.int64)
     for c in range(1, k + 1):
-        used += (blocks == c).any(axis=2)
+        used += (blocks == c).any(axis=0)
     return k - used
 
 

@@ -36,8 +36,10 @@ from treecolor import (
     single_disagreement_report,
     upward_channel_tv,
 )
+from treecolor import couplings
 from treecolor.couplings import (
     CouplingPair,
+    _hamming_distances,
     branching_mean,
     hamming_tail_tree,
     simulate_disagreement_process,
@@ -158,6 +160,36 @@ def test_mean_hamming_matches_branching_formula():
     assert abs(est.mean - 8.0) < 4 * est.stderr  # (delta/(k-1))^depth = 2^3
 
 
+# fixed draws: `couple --mode downup` output per seed depends on the x
+# draws and the overlay staying byte-identical
+PINNED_ROWS = [
+    (
+        (2, 2, 3, 1, 2, 3, 7),
+        [[3, 3, 2, 2], [1, 3, 1, 2], [1, 1, 1, 1]],
+        [[3, 3, 2, 2], [2, 3, 1, 2], [2, 2, 1, 1]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]],
+    ),
+    (
+        (3, 2, 4, 2, 4, 2, 5),
+        [[1, 3, 3, 2, 2, 2, 1, 2, 1], [1, 1, 3, 2, 1, 1, 2, 3, 3]],
+        [[1, 3, 3, 4, 4, 4, 1, 4, 1], [1, 1, 3, 2, 1, 1, 2, 3, 3]],
+        [[0, 0, 0, 1, 1, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0]],
+    ),
+]
+
+
+@pytest.mark.parametrize("args, x_rows, y_rows, overlay", PINNED_ROWS)
+def test_coupled_leaf_rows_pinned_draws(args, x_rows, y_rows, overlay):
+    branching, depth, k, c1, c2, n, seed = args
+    x, y, disagree = coupled_leaf_rows(
+        TreeShape(branching, depth), k, c1, c2, n, RandomSource(seed)
+    )
+    assert x.dtype == np.int16 and y.dtype == np.int16 and disagree.dtype == bool
+    assert x.tolist() == x_rows
+    assert y.tolist() == y_rows
+    assert disagree.astype(int).tolist() == overlay
+
+
 # ---------------------------------------------------------------------------
 # branching-process surrogate
 
@@ -210,6 +242,73 @@ def test_process_matches_tree_hamming_law():
     h = disagree.sum(axis=1)
     counts = np.bincount(h, minlength=len(pmf))
     assert chi2_pvalue(counts, [float(q) for q in pmf]) > CHI2_P_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# the disagreement frontier behind estimate_hamming and hamming_tail_tree
+
+
+@pytest.mark.parametrize(
+    "branching, k, depth, c1, c2, seed", [(2, 3, 3, 1, 3, 91), (4, 3, 2, 3, 2, 92)]
+)
+def test_frontier_matches_exact_pmf(branching, k, depth, c1, c2, seed):
+    # (4, 3, 2) has mean offspring 2, so the frontier grows level by level;
+    # a root color k checks the shift past the parent's color
+    pmf = exact_disagreement_pmf(branching, k, depth)
+    shape = TreeShape(branching, depth)
+    h = _hamming_distances(shape, k, c1, c2, 100_000, RandomSource(seed))
+    counts = np.bincount(h, minlength=len(pmf))
+    assert len(counts) == len(pmf)
+    assert chi2_pvalue(counts, [float(q) for q in pmf]) > CHI2_P_FLOOR
+
+
+def test_frontier_matches_dense_coupling():
+    shape = TreeShape(3, 4)
+    n = 20_000
+    frontier = _hamming_distances(shape, 4, 1, 4, n, RandomSource(93))
+    dense = coupled_leaf_rows(shape, 4, 1, 4, n, RandomSource(94))[2].sum(axis=1)
+    # pool the sparse upper tail into one cell
+    top = 6
+    table = np.array([
+        np.bincount(np.minimum(h, top), minlength=top + 1) for h in (frontier, dense)
+    ])
+    _, p, _, _ = stats.chi2_contingency(table)
+    assert p > CHI2_P_FLOOR
+
+
+def test_frontier_agreeing_roots_give_zeros():
+    h = _hamming_distances(TreeShape(2, 5), 3, 2, 2, 7, RandomSource(0))
+    assert h.tolist() == [0] * 7
+
+
+def test_frontier_validation_matches_dense_sampler():
+    shape = TreeShape(2, 2)
+    for sampler in (coupled_leaf_rows, _hamming_distances):
+        with pytest.raises(ValidationError, match="need at least 2 colors, got k=1"):
+            sampler(shape, 1, 1, 1, 5, RandomSource(0))
+        with pytest.raises(ValidationError, match=r"c1=0 out of range 1..3"):
+            sampler(shape, 3, 0, 2, 5, RandomSource(0))
+        with pytest.raises(ValidationError, match=r"c2=4 out of range 1..3"):
+            sampler(shape, 3, 1, 4, 5, RandomSource(0))
+
+
+def test_estimate_hamming_crosses_chunk_boundary(monkeypatch):
+    # 4096 leaves give chunks of 976 pairs; 2000 samples take three chunks
+    shape = TreeShape(2, 12)
+    chunks = []
+
+    def recording(*args):
+        chunks.append(args[-2])
+        return _hamming_distances(*args)
+
+    monkeypatch.setattr(couplings, "_hamming_distances", recording)
+    est = estimate_hamming(shape, 3, 1, 2, 2000, RandomSource(95))
+    assert chunks == [976, 976, 48]
+    assert est.n == 2000
+    rng = RandomSource(95)
+    h = np.concatenate([_hamming_distances(shape, 3, 1, 2, m, rng) for m in chunks])
+    assert est.mean == pytest.approx(h.mean(), rel=1e-12)
+    assert abs(est.mean - 1.0) < 4 * est.stderr  # (delta/(k-1))^depth = 1
 
 
 def test_branching_mean_formula():

@@ -784,6 +784,27 @@ def test_cli_out_files_are_byte_identical_across_reruns(tmp_path, capsys):
     assert paths[0].read_bytes() != paths[2].read_bytes()
 
 
+@pytest.mark.parametrize("extra", [[], ["--threshold", "1.5"]])
+def test_cli_couple_down_reruns_are_byte_identical(tmp_path, extra):
+    argv = ["couple", "--delta", "2", "--k", "3", "--depth", "6", "--c1", "1",
+            "--c2", "3", "--mode", "down", "--samples", "500", *extra]
+    outputs = []
+    for name, seed in (("first", "13"), ("second", "13"), ("other", "14")):
+        path = tmp_path / f"{name}.out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecolor.cli", *argv, "--seed", seed,
+             "--out", str(path)],
+            capture_output=True,
+            text=True,
+            env=cli_subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 0
+    assert outputs[0] != outputs[2]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "treecolor.cli", "broadcast", "--delta", "2",
