@@ -24,7 +24,11 @@ color j uniform on 2..k and a height-(h-1) message with colors 1 and j
 swapped, and the parent's message is proportional to the product of
 (1 - child message).  Height 1 is the occupancy law above.  The sampler
 broadcasts down to depth depth - h only, draws each vertex's message there
-from its table, and folds the levels above in floats.
+from its table, and folds the levels above in floats.  `sample_down_up`
+redraws a root color from one such row, so every posterior draw takes this
+route.
+
+Root colors, drawn or given, enter every sampler here through `_root_level`.
 """
 from __future__ import annotations
 
@@ -94,31 +98,15 @@ def _next_level(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
     return r + (r >= stretched)
 
 
-def sample_levels(
-    shape: TreeShape,
-    k: int,
-    n: int,
-    rng: RandomSource,
-    root_color=None,
-    down_to: int | None = None,
-) -> list[np.ndarray]:
-    """Rows of sampled colors per level, from the root down to depth `down_to`."""
-    _check_k(k)
-    stop = shape.depth if down_to is None else down_to
-    if not 0 <= stop <= shape.depth:
-        raise ValidationError("down_to out of range")
-    gen = rng.generator
-    levels = [_root_level(k, n, gen, root_color)]
-    for _ in range(stop):
-        levels.append(_next_level(levels[-1], k, shape.branching, gen))
-    return levels
-
-
 def sample_full(
     shape: TreeShape, k: int, rng: RandomSource, root_color=None
 ) -> FullColoring:
     """One uniform proper coloring of the whole tree."""
-    levels = sample_levels(shape, k, 1, rng, root_color)
+    _check_k(k)
+    gen = rng.generator
+    levels = [_root_level(k, 1, gen, root_color)]
+    for _ in range(shape.depth):
+        levels.append(_next_level(levels[-1], k, shape.branching, gen))
     return FullColoring(k, np.concatenate([lvl[0] for lvl in levels]))
 
 
@@ -126,8 +114,7 @@ def sample_leaves_given_root(
     shape: TreeShape, k: int, root_color: int, rng: RandomSource
 ) -> PartialLeafColoring:
     """Leaf row of a uniform proper coloring whose root has the given color."""
-    levels = sample_levels(shape, k, 1, rng, root_color)
-    return PartialLeafColoring(k, levels[-1][0])
+    return PartialLeafColoring(k, sample_leaf_rows(shape, k, 1, rng, root_color)[0])
 
 
 def sample_leaf_rows(
@@ -317,22 +304,11 @@ def _color_swaps(k: int) -> np.ndarray:
     return swaps
 
 
-def sample_down_up(
-    shape: TreeShape, k: int, root_color: int, rng: RandomSource, backend: str = "float"
-) -> int:
+def sample_down_up(shape: TreeShape, k: int, root_color: int, rng: RandomSource) -> int:
     """Broadcast from `root_color`, then redraw a root color from the
-    exact posterior given only the sampled leaves."""
-    from . import exact_engine  # local import to keep module load cheap
-
-    leaves = sample_leaves_given_root(shape, k, root_color, rng)
-    dist = exact_engine.root_marginal(shape, k, leaves, backend=backend)
-    u = rng.generator.random()
-    acc = 0.0
-    for c in range(1, k + 1):
-        acc += float(dist.probability(c))
-        if u < acc:
-            return c
-    return k
+    exact posterior given only the broadcast leaves (`posterior_rows`)."""
+    rows = posterior_rows(shape, k, 1, rng, root_color)
+    return int(sample_from_rows(rows, rng.generator)[0])
 
 
 def posterior_rows(
@@ -344,21 +320,18 @@ def posterior_rows(
     Colors are broadcast down to depth - h, h = `_table_height`; each
     vertex there draws its height-h message by inverting its table's CDF
     with one uniform (the occupancy law at h = 1), and the levels above are
-    folded in floats.  An empty batch gives (0, k).
+    folded in floats.  At depth 0, h = 0 and the table is the point mass on
+    the root's own color.  An empty batch gives (0, k).
     """
     from . import exact_engine
 
     _check_k(k)
-    if shape.depth == 0:
-        # the root is the only leaf: posterior is a point mass on its color
-        roots = sample_leaf_rows(shape, k, n, rng, root_colors)[:, 0]
-        return np.eye(k, dtype=float)[roots.astype(np.int64) - 1]
-    if n == 0:
-        return np.empty((0, k))
     branching = shape.branching
     height = _table_height(branching, k, shape.depth)
     gen = rng.generator
     colors = _level_at(k, branching, shape.depth - height, n, gen, root_colors).reshape(-1)
+    if n == 0:
+        return np.empty((0, k))
     at_root = height == shape.depth
     if height == 1:
         unused = _unused_colors(colors, k, branching, gen)

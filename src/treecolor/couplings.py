@@ -57,8 +57,7 @@ def _check_color(k: int, c: int, name: str) -> int:
 
 
 def _check_roots(k: int, c1: int, c2: int) -> tuple[int, int]:
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    broadcast_sampler._check_k(k)
     return _check_color(k, c1, "c1"), _check_color(k, c2, "c2")
 
 
@@ -70,12 +69,8 @@ def coupled_leaf_rows(
     c1, c2 = _check_roots(k, c1, c2)
     gen = rng.generator
     x = np.full((n, 1), c1, dtype=np.int16)
-    if c1 == c2:
-        for _ in range(shape.depth):
-            x = broadcast_sampler._next_level(x, k, shape.branching, gen)
-        return x, x.copy(), np.zeros_like(x, dtype=bool)
     # partner is the second copy's color where the copies differ, 0 elsewhere
-    partner = np.full((n, 1), c2, dtype=np.int16)
+    partner = np.full((n, 1), c2 if c1 != c2 else 0, dtype=np.int16)
     b = shape.branching
     for _ in range(shape.depth):
         child_x = broadcast_sampler._next_level(x, k, b, gen)
@@ -359,8 +354,7 @@ def estimate_beta_tv(
     TV between their exact root posteriors and the plug-in TV between
     root colors redrawn from those posteriors (see BetaTvReport).
     """
-    c1 = _check_color(k, c1, "c1")
-    c2 = _check_color(k, c2, "c2")
+    c1, c2 = _check_roots(k, c1, c2)
     if c1 == c2:
         zero = Estimate(mean=0.0, stderr=0.0, n=samples)
         return BetaTvReport(coupling_bound=zero, plugin_tv=zero)
@@ -369,19 +363,12 @@ def estimate_beta_tv(
 
     def posterior_tv(m: int) -> np.ndarray:
         x, y, _ = coupled_leaf_rows(shape, k, c1, c2, m, rng)
-        if shape.depth == 0:
-            px = np.eye(k)[x[:, 0].astype(np.int64) - 1]
-            py = np.eye(k)[y[:, 0].astype(np.int64) - 1]
-        else:
-            px = exact_engine.root_marginal_batch(shape, k, x)
-            py = exact_engine.root_marginal_batch(shape, k, y)
+        px = exact_engine.root_marginal_batch(shape, k, x)
+        py = exact_engine.root_marginal_batch(shape, k, y)
         # plug-in: independent re-inferred root draws from each conditioning
-        counts[0] += np.bincount(
-            broadcast_sampler.sample_from_rows(px, gen).astype(np.int64), minlength=k + 1
-        )[1:]
-        counts[1] += np.bincount(
-            broadcast_sampler.sample_from_rows(py, gen).astype(np.int64), minlength=k + 1
-        )[1:]
+        for count, rows in zip(counts, (px, py)):
+            draws = broadcast_sampler.sample_from_rows(rows, gen)
+            count += np.bincount(draws, minlength=k + 1)[1:]
         return 0.5 * np.abs(px - py).sum(axis=1)
 
     sums = batch_sums(samples, max(shape.leaf_count, k) * 2, posterior_tv)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -519,15 +520,17 @@ def entropy_functional(f) -> float:
     return float(flnf.mean() - mean * math.log(mean))
 
 
+@lru_cache(maxsize=8)  # an entry holds every state of its instance
 def _outside_groups(shape: TreeShape, k: int, block_depth: int):
     """For each vertex: state indices grouped by their outside-block colors.
 
     The block attributed to v is the one a move choosing v updates -- the
     depth-block_depth subtree under v's block_depth-th ancestor -- so the
-    entropy functionals decompose the same kernel the chain runs.
+    entropy functionals decompose the same kernel the chain runs.  Cached,
+    so each group is a read-only index array and every container a tuple.
     """
-    states = enumerate_states(shape, k)
-    by_root: dict[int, list] = {}
+    states = tuple(enumerate_states(shape, k))
+    by_root: dict[int, tuple] = {}
     all_groups = []
     for v in range(shape.vertex_count):
         root = block_root(shape, v, block_depth)
@@ -538,9 +541,12 @@ def _outside_groups(shape: TreeShape, k: int, block_depth: int):
             for i, s in enumerate(states):
                 key = tuple(s[w] for w in outside)
                 groups.setdefault(key, []).append(i)
-            by_root[root] = list(groups.values())
+            members = tuple(np.array(group) for group in groups.values())
+            for index in members:
+                index.setflags(write=False)
+            by_root[root] = members
         all_groups.append(by_root[root])
-    return states, all_groups
+    return states, tuple(all_groups)
 
 
 def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:

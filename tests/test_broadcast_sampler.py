@@ -15,6 +15,7 @@ from treecolor import (
     ValidationError,
     count_extensions,
     down_up_matrix,
+    initial_state,
     is_allowed_batch,
     is_proper,
     sample_block_counts,
@@ -126,6 +127,53 @@ def test_sample_full_leaf_pair_law():
         counts[(int(sigma.values[1]), int(sigma.values[2]))] += 1
     p = chi2_pvalue([counts[pair] for pair in pairs], [float(q) for q in probs])
     assert p > CHI2_P_FLOOR
+
+
+# fixed draws: `dynamics` chains start from `initial_state`, so their output
+# per seed depends on these staying byte-identical; two draws per source pin
+# where each draw leaves the stream
+PINNED_FULL = [
+    ((2, 3, 3), None, [[2, 1, 1, 3, 3, 2, 3, 2, 1, 2, 2, 1, 1, 1, 1],
+                       [3, 2, 2, 3, 3, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3]]),
+    ((2, 3, 3), 2, [[2, 3, 1, 1, 1, 3, 3, 2, 3, 3, 2, 2, 2, 1, 1],
+                    [2, 1, 1, 3, 2, 3, 3, 2, 2, 1, 1, 1, 1, 1, 2]]),
+    ((3, 2, 4), None, [[2, 1, 1, 3, 4, 2, 3, 4, 2, 2, 4, 2, 4],
+                       [3, 4, 4, 4, 1, 1, 2, 1, 3, 1, 1, 2, 3]]),
+    ((3, 2, 4), 2, [[2, 1, 3, 1, 3, 2, 4, 1, 2, 4, 2, 2, 4],
+                    [2, 4, 4, 3, 3, 3, 3, 1, 1, 1, 2, 1, 4]]),
+]
+
+
+@pytest.mark.parametrize("tree, root, expected", PINNED_FULL)
+def test_sample_full_pinned_draws(tree, root, expected):
+    branching, depth, k = tree
+    rng = RandomSource(100 + branching)
+    got = [sample_full(TreeShape(branching, depth), k, rng, root_color=root) for _ in range(2)]
+    assert [sigma.values.tolist() for sigma in got] == expected
+
+
+@pytest.mark.parametrize("tree, expected", [
+    ((2, 3, 3), [[3, 1, 1, 3, 2, 2, 2, 2, 1, 1, 3, 3, 1, 1, 3],
+                 [3, 2, 1, 3, 1, 2, 2, 1, 1, 2, 3, 3, 1, 3, 3]]),
+    ((3, 2, 4), [[3, 4, 4, 1, 2, 2, 3, 3, 3, 1, 2, 3, 3],
+                 [3, 2, 1, 2, 3, 4, 1, 4, 3, 3, 3, 4, 1]]),
+])
+def test_initial_state_pinned_draws(tree, expected):
+    branching, depth, k = tree
+    rng = RandomSource(200 + branching)
+    got = [initial_state(TreeShape(branching, depth), k, rng) for _ in range(2)]
+    assert [state.coloring.values.tolist() for state in got] == expected
+
+
+@pytest.mark.parametrize("tree, expected", [
+    ((2, 3, 3), [[1, 2, 2, 1, 3, 3, 2, 2], [2, 2, 2, 1, 2, 1, 2, 3]]),
+    ((3, 2, 4), [[1, 3, 3, 3, 4, 3, 2, 4, 4], [3, 3, 1, 4, 4, 2, 3, 3, 2]]),
+])
+def test_leaves_given_root_pinned_draws(tree, expected):
+    branching, depth, k = tree
+    rng = RandomSource(300 + branching)
+    got = [sample_leaves_given_root(TreeShape(branching, depth), k, 3, rng) for _ in range(2)]
+    assert [x.values.tolist() for x in got] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +312,21 @@ def test_down_up_matches_exact_law():
     assert chi2_pvalue(counts, law) > CHI2_P_FLOOR
 
 
+@pytest.mark.parametrize("depth, root", [(2, 2), (3, 3)])
+def test_down_up_matches_exact_law_at_table_height(depth, root):
+    # on (2, 3) the table height is the depth, so the root's message is
+    # drawn straight from its table
+    shape = TreeShape(2, depth)
+    k = 3
+    assert _table_height(2, k, depth) == depth
+    law = [float(p) for p in down_up_matrix(shape, k)[root - 1]]
+    rng = RandomSource(40 + depth)
+    counts = np.zeros(k, dtype=np.int64)
+    for _ in range(30_000):
+        counts[sample_down_up(shape, k, root, rng) - 1] += 1
+    assert chi2_pvalue(counts, law) > CHI2_P_FLOOR
+
+
 def test_down_up_uniform_mixture():
     # averaging over a uniform root color returns the uniform law
     shape = TreeShape(2, 2)
@@ -380,6 +443,16 @@ def test_posterior_rows_at_height1_are_block_counts():
 def test_posterior_rows_depth0():
     rows = posterior_rows(TreeShape(2, 0), 3, 10, RandomSource(6), root_colors=3)
     np.testing.assert_allclose(rows, np.tile([0.0, 0.0, 1.0], (10, 1)))
+    # the height-0 table is the point mass on each vertex's own color
+    roots = np.array([2, 1, 3, 3, 2], dtype=np.int16)
+    rows = posterior_rows(TreeShape(3, 0), 3, 5, RandomSource(7), root_colors=roots)
+    assert np.array_equal(rows, np.eye(3)[roots - 1])
+    no_roots = np.array([], dtype=int)
+    empty = posterior_rows(TreeShape(3, 0), 4, 0, RandomSource(8), root_colors=no_roots)
+    assert empty.shape == (0, 4)
+    # an empty batch still checks its root colors
+    with pytest.raises(ValidationError):
+        posterior_rows(TreeShape(3, 2), 4, 0, RandomSource(8), root_colors=5)
 
 
 def test_sample_from_rows_law():

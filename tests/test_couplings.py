@@ -15,6 +15,7 @@ from scipy import stats
 
 from treecolor import (
     ColorDistribution,
+    Estimate,
     InfeasibleChannelError,
     PartialLeafColoring,
     RandomSource,
@@ -175,6 +176,16 @@ PINNED_ROWS = [
         [[1, 3, 3, 4, 4, 4, 1, 4, 1], [1, 1, 3, 2, 1, 1, 2, 3, 3]],
         [[0, 0, 0, 1, 1, 1, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0]],
     ),
+    # agreeing roots: one broadcast shared by both copies
+    (
+        (2, 2, 3, 2, 2, 3, 11),
+        [[2, 1, 2, 3], [2, 2, 3, 3], [2, 2, 2, 1]],
+        [[2, 1, 2, 3], [2, 2, 3, 3], [2, 2, 2, 1]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ),
+    # depth 0: the roots are the leaves
+    ((2, 0, 3, 1, 2, 3, 12), [[1], [1], [1]], [[2], [2], [2]], [[1], [1], [1]]),
+    ((3, 0, 4, 3, 3, 2, 13), [[3], [3]], [[3], [3]], [[0], [0]]),
 ]
 
 
@@ -469,6 +480,20 @@ def test_beta_tv_trivial_cases():
     report = estimate_beta_tv(TreeShape(2, 0), 3, 1, 2, 4_000, RandomSource(2))
     assert report.coupling_bound.mean == 1  # point masses at distinct colors
     assert abs(report.plugin_tv.mean - 1) < 0.05
+
+
+@pytest.mark.parametrize("args, coupling, plugin", [
+    # depth 0: point masses at distinct colors, whatever the draws
+    ((3, 0, 4, 1, 3, 1000, 7), (1.0, 0.0), (1.0, 0.0)),
+    ((2, 2, 3, 1, 2, 1000, 8),
+     (0.3704666666666667, 0.011193935748022864), (0.34700000000000003, 0.02026709155256373)),
+])
+def test_beta_tv_pinned_reports(args, coupling, plugin):
+    # fixed draws: `couple --mode downup` output per seed depends on them
+    branching, depth, k, c1, c2, n, seed = args
+    report = estimate_beta_tv(TreeShape(branching, depth), k, c1, c2, n, RandomSource(seed))
+    assert report.coupling_bound == Estimate(*coupling, n=n)
+    assert report.plugin_tv == Estimate(*plugin, n=n)
 
 
 def test_beta_tv_example_within_tolerance():
