@@ -11,8 +11,12 @@ each bottom block, only the set of colors its leaves leave unused.  The
 block's Delta leaves are Delta balls thrown uniformly into the k-1 colors
 other than the parent's, so the number of those colors left empty follows
 the occupancy law, and given that number the empty colors are a uniform
-subset.  The unbiasing classifier only sees a bottom block through this
-set, so for deep wide trees it never needs the leaves.
+subset.  `_unused_entries` is the one draw of these sets; it returns them
+sparsely, as (vertex, color) pairs.  The unbiasing classifier sees a
+bottom block only through its count 1 + u of unused colors, and the law
+of u does not depend on the parent's color, so the counts of all bottom
+blocks are i.i.d.: `estimate_q` draws them directly (`_unused_slots`),
+with no broadcast and no sets.
 
 `posterior_rows` goes further up.  A vertex's upward message (the law of
 its color given the leaves below it, under a uniform prior) depends only
@@ -43,9 +47,6 @@ from .errors import InfeasibleBoundaryError, ValidationError
 from .rng import RandomSource
 from .tree_model import FullColoring, PartialLeafColoring, TreeShape
 
-#: the unbiasing estimator draws per-block unused sets above this leaf count
-BLOCK_COUNT_THRESHOLD = 4096
-
 #: largest number of child-type multisets, C(Delta + T - 1, Delta), that one
 #: level of a message table may enumerate (T child types)
 _TABLE_ENUMERATION_CAP = 100_000
@@ -54,12 +55,6 @@ _TABLE_ENUMERATION_CAP = 100_000
 def _check_k(k: int) -> None:
     if k < 2:
         raise ValidationError(f"need at least 2 colors, got k={k}")
-
-
-def uses_block_counts(shape: TreeShape) -> bool:
-    """Whether the unbiasing estimator draws per-block unused-color sets
-    rather than materializing the leaves."""
-    return shape.leaf_count > BLOCK_COUNT_THRESHOLD
 
 
 def _root_level(k: int, n: int, gen: np.random.Generator, root_colors) -> np.ndarray:
@@ -162,31 +157,55 @@ def sample_block_counts(
     return unused.reshape(level.shape + (k,))
 
 
+def _unused_slots(branching: int, k: int, size, gen) -> np.ndarray:
+    """Independent draws of u, the number of non-parent colors a bottom
+    block leaves unused, by inverting the CDF of `_unused_slot_law`.
+
+    The law of u does not depend on the parent's color, so the unused
+    counts 1 + u of all bottom blocks are i.i.d.  u is the number of CDF
+    entries at or below a uniform x in [0, 1), as `searchsorted(side="right")`
+    gives it, counted with one pass per entry strictly between 0 and 1.
+    """
+    _, cdf = _unused_slot_law(branching, k)
+    x = gen.random(size)
+    u = np.full(x.shape, np.count_nonzero(cdf == 0), dtype=np.int16)
+    for step in cdf[(cdf > 0) & (cdf < 1)]:
+        u += x >= step
+    return u
+
+
+def _unused_entries(parents: np.ndarray, k: int, branching: int, gen) -> tuple:
+    """The colors each parent's `branching` fresh children leave unused, as
+    (sizes, vertex, color): parent i leaves sizes[i] colors unused, and
+    every pair (vertex[j], color[j]) names one of them, colors 0-based.
+
+    The parent's color is always unused; those N pairs come first.  The
+    number u of other unused colors is drawn by `_unused_slots`; parents
+    with u > 0 then pick a uniform u-subset of the k-1 non-parent slots by
+    selection sampling.
+    """
+    parent = parents.reshape(-1) - 1
+    u = _unused_slots(branching, k, parent.size, gen)
+    busy = np.flatnonzero(u > 0)
+    need = u[busy]
+    picks = np.empty((k - 1, busy.size), dtype=bool)
+    for slot in range(k - 1):
+        pick = picks[slot]
+        np.less(gen.random(busy.size) * (k - 1 - slot), need, out=pick)
+        need -= pick
+    slot, at = np.divmod(np.flatnonzero(picks), busy.size)
+    vertex = busy[at]
+    # slot s is color s below the parent's color, s + 1 above it
+    color = (slot + (slot >= parent[vertex])).astype(parent.dtype)
+    return u + 1, np.concatenate([np.arange(parent.size), vertex]), np.concatenate([parent, color])
+
+
 def _unused_colors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
     """(len(parents), k) bool: the colors each parent's `branching` fresh
-    children leave unused.
-
-    The parent's color is always unused.  The number u of other unused
-    colors is drawn by inverting the occupancy law of `branching` balls in
-    k-1 bins (`_unused_slot_law`); parents with u > 0 then pick a uniform
-    u-subset of the k-1 non-parent slots by selection sampling.
-    """
-    parent = parents.reshape(-1, 1) - 1
-    unused = np.arange(k) == parent
-    _, cdf = _unused_slot_law(branching, k)
-    u = np.searchsorted(cdf, gen.random(parent.shape[0]), side="right")
-    busy = np.flatnonzero(u)
-    if busy.size:
-        need = u[busy]
-        below = parent[busy, 0]
-        chosen = unused[busy]
-        for slot in range(k - 1):
-            pick = gen.random(busy.size) * (k - 1 - slot) < need
-            need -= pick
-            # slot s is color s below the parent's color, s + 1 above it
-            chosen[:, slot] |= pick & (slot < below)
-            chosen[:, slot + 1] |= pick & (slot >= below)
-        unused[busy] = chosen
+    children leave unused (`_unused_entries`, scattered)."""
+    _, vertex, color = _unused_entries(parents, k, branching, gen)
+    unused = np.zeros((parents.size, k), dtype=bool)
+    unused[vertex, color] = True
     return unused
 
 
@@ -199,6 +218,22 @@ def _unused_log_factors(unused: np.ndarray) -> np.ndarray:
         raise InfeasibleBoundaryError("a bottom block uses all colors")
     with np.errstate(divide="ignore"):
         return np.where(unused, np.log1p(-1.0 / sizes), 0.0)
+
+
+def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
+    """(len(parents), k) log(1 - m) for the messages of height-1 vertices
+    with fresh children: log(1 - 1/s) on each vertex's s unused colors
+    (`_unused_entries`) and 0 on the used ones, bitwise as
+    `_unused_log_factors` gives them from the scattered sets."""
+    sizes, vertex, color = _unused_entries(parents, k, branching, gen)
+    with np.errstate(divide="ignore"):
+        values = np.log1p(-1.0 / np.arange(1, k + 1))[sizes[vertex] - 1]
+    vertex *= k
+    vertex += color  # the flat index of each pair
+    del sizes, color  # the zeroed array is then the only large one
+    factors = np.zeros((parents.size, k))
+    factors.reshape(-1)[vertex] = values
+    return factors
 
 
 @lru_cache(maxsize=None)
@@ -334,10 +369,10 @@ def posterior_rows(
         return np.empty((0, k))
     at_root = height == shape.depth
     if height == 1:
-        unused = _unused_colors(colors, k, branching, gen)
         if at_root:
+            unused = _unused_colors(colors, k, branching, gen)
             return unused / unused.sum(axis=1, keepdims=True)
-        factors = _unused_log_factors(unused)
+        factors = _occupancy_log_factors(colors, k, branching, gen)
     else:
         cdf, log_factors, messages = _message_table(branching, k, height)
         entry = np.searchsorted(cdf, gen.random(colors.size), side="right")[:, np.newaxis]

@@ -145,22 +145,24 @@ def estimate_q(
     highly: bool = False,
 ) -> Estimate:
     """Monte Carlo probability that a typical leaf coloring *fails* the
-    classifier (or its strong form), sampling leaves by broadcast."""
+    classifier (or its strong form), under the broadcast measure.
+
+    The classifier sees a bottom block only through its unused count
+    1 + u, and u has the occupancy law of `branching` balls in the k-1
+    colors other than the parent's, whatever that color is; so the counts
+    of all branching**(depth-1) bottom blocks are i.i.d. and are drawn
+    directly, without broadcasting any level of the tree.
+    """
+    broadcast_sampler._check_k(k)
     if shape.depth < 1:
         raise ValidationError("the classifier is undefined on a depth-0 tree")
     heights = qualifying_heights(shape, params) if highly else None
-    use_counts = broadcast_sampler.uses_block_counts(shape)
-    per_sample = (
-        shape.branching ** (shape.depth - 1) * k if use_counts else shape.leaf_count
-    )
+    blocks = shape.branching ** (shape.depth - 1)
+    gen = rng.generator
 
     def failed(m: int) -> np.ndarray:
-        if use_counts:
-            unused = broadcast_sampler.sample_block_counts(shape, k, m, rng).sum(axis=2)
-            flags = _level_flags(unused, shape.branching, shape.depth, params.epsilon)
-        else:
-            rows = broadcast_sampler.sample_leaf_rows(shape, k, m, rng)
-            flags = classify_rows(shape, k, params, rows)
+        unused = 1 + broadcast_sampler._unused_slots(shape.branching, k, (m, blocks), gen)
+        flags = _level_flags(unused, shape.branching, shape.depth, params.epsilon)
         if highly:
             good = np.ones(m, dtype=bool)
             for h in heights:
@@ -169,5 +171,5 @@ def estimate_q(
             good = flags[-1][:, 0]
         return ~good
 
-    failures, _ = batch_sums(samples, per_sample, failed)
+    failures, _ = batch_sums(samples, blocks, failed)
     return proportion_estimate(int(failures), samples)

@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from treecolor import (
     PartialLeafColoring,
@@ -21,9 +22,12 @@ from treecolor import (
     is_allowed_batch,
     is_highly_unbiasing,
     is_unbiasing,
+    sample_leaf_rows,
     star_out,
 )
 from treecolor.unbiasing import classify_rows, count_unused_colors, qualifying_heights
+
+from conftest import CHI2_P_FLOOR
 
 
 def leaves(k, *values):
@@ -296,3 +300,71 @@ def test_estimate_q_highly_at_least_plain():
     plain = estimate_q(shape, 3, params, 20_000, RandomSource(55))
     strong = estimate_q(shape, 3, params, 20_000, RandomSource(55), highly=True)
     assert strong.mean >= plain.mean  # failing the weak form fails the strong form
+
+
+def exact_strong_failure(branching: int, k: int, eps, depth: int) -> Fraction:
+    """Exact probability that a broadcast leaf coloring fails the strong
+    form, from the recursion over heights.
+
+    A bottom block's unused count is 1 + u, with u the number of empty
+    bins when `branching` balls fall into the k - 1 colors other than the
+    parent's; its law does not depend on the parent's color, so the blocks
+    pass independently with probability p_1.  A height-h vertex passes when
+    at most branching**(1-eps) children fail, each independently with
+    probability 1 - p_{h-1}.  At the lowest qualifying height a good vertex
+    is one that passes; above it, a vertex is good exactly when all its
+    children are good (then none fails, so it passes too).
+    """
+    bins = k - 1
+    tally: dict[int, int] = {}
+    for balls in product(range(bins), repeat=branching):
+        u = bins - len(set(balls))
+        tally[u] = tally.get(u, 0) + 1
+    base = branching ** (float(eps) / 2)
+    passes = sum(Fraction(t, bins**branching) for u, t in tally.items() if 1 + u >= base - 1e-9)
+    step = branching ** (1 - float(eps))
+    lowest = max(1, math.ceil(float(eps) * depth - 1e-9))
+    for _ in range(1, lowest):
+        passes = sum(
+            math.comb(branching, j) * (1 - passes) ** j * passes ** (branching - j)
+            for j in range(branching + 1)
+            if j <= step + 1e-9
+        )
+    good = passes
+    for _ in range(lowest, depth):
+        good = good**branching
+    return 1 - good
+
+
+@pytest.mark.parametrize(
+    "branching, k, eps, depth, closed_form",
+    [(3, 4, Fraction(1, 3), 3, 0.895840), (2, 3, 0.3333, 4, 0.683594)],
+)
+def test_estimate_q_highly_matches_exact_law(branching, k, eps, depth, closed_form):
+    exact = exact_strong_failure(branching, k, eps, depth)
+    assert round(float(exact), 6) == closed_form
+    shape = TreeShape(branching, depth)
+    est = estimate_q(shape, k, UnbiasingParams(eps), 200_000, RandomSource(depth), highly=True)
+    assert abs(est.mean - float(exact)) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize(
+    "branching, k, depth, highly", [(4, 3, 2, False), (2, 3, 4, True), (3, 4, 3, True)]
+)
+def test_estimate_q_matches_leaf_classifier(branching, k, depth, highly):
+    # the leaf classifier on materialized broadcast leaves is the oracle for
+    # the i.i.d. block counts that `estimate_q` draws
+    shape = TreeShape(branching, depth)
+    params = UnbiasingParams(Fraction(1, 3))
+    n = 20_000
+    est = estimate_q(shape, k, params, n, RandomSource(31), highly=highly)
+    flags = classify_rows(shape, k, params, sample_leaf_rows(shape, k, n, RandomSource(32)))
+    if highly:
+        good = np.logical_and.reduce(
+            [flags[h - 1].all(axis=1) for h in qualifying_heights(shape, params)]
+        )
+    else:
+        good = flags[-1][:, 0]
+    fails = round(est.mean * n), int((~good).sum())
+    _, p, _, _ = stats.chi2_contingency([[f, n - f] for f in fails])
+    assert p > CHI2_P_FLOOR
