@@ -22,39 +22,30 @@ with no broadcast and no sets.
 its color given the leaves below it, under a uniform prior) depends only
 on those leaves, which given the vertex's color are an independent
 broadcast; so the message of a height-h vertex has a finite law.
-`_message_law` builds it exactly, one level at a time (the one-level
-recursion of Mezard & Montanari, J. Stat. Phys. 2006): each child takes a
-color j uniform on 2..k and a height-(h-1) message with colors 1 and j
-swapped, and the parent's message is proportional to the product of
-(1 - child message).  Height 1 is the occupancy law above.  The sampler
-broadcasts down to depth depth - h only, draws each vertex's message there
-from its table, and folds the levels above in floats.  `sample_down_up`
-redraws a root color from one such row, so every posterior draw takes this
-route.
+`exact_engine` holds these laws exactly (`_message_law`, the occupancy
+law `_unused_slot_law`) and their float tables; this module only samples
+from them.  The sampler broadcasts down to depth depth - h only, draws
+each vertex's message there from its table (from the occupancy sets above
+at h = 1), and folds the levels above in floats.  `sample_down_up`
+redraws a root color from one such row, so every posterior draw takes
+this route.
 
 Root colors, drawn or given, enter every sampler here through `_root_level`.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
-
 import numpy as np
 
 from .errors import InfeasibleBoundaryError, ValidationError
+from .exact_engine import (
+    _color_swaps,
+    _fold_factors,
+    _message_table,
+    _table_height,
+    _unused_slot_law,
+)
 from .rng import RandomSource
-from .tree_model import FullColoring, PartialLeafColoring, TreeShape
-
-#: largest number of child-type multisets, C(Delta + T - 1, Delta), that one
-#: level of a message table may enumerate (T child types)
-_TABLE_ENUMERATION_CAP = 100_000
-
-
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+from .tree_model import FullColoring, PartialLeafColoring, TreeShape, _check_k
 
 
 def _root_level(k: int, n: int, gen: np.random.Generator, root_colors) -> np.ndarray:
@@ -118,26 +109,6 @@ def sample_leaf_rows(
     """(n, leaf_count) leaf rows; `root_colors` may be None, a scalar, or (n,)."""
     _check_k(k)
     return _level_at(k, shape.branching, shape.depth, n, rng.generator, root_colors)
-
-
-@lru_cache(maxsize=None)
-def _unused_slot_law(branching: int, k: int) -> tuple:
-    """Exact law of u, the number of the k-1 non-parent colors a bottom
-    block leaves unused, and its float CDF.
-
-    P(u) = C(k-1, u) surj(branching, k-1-u) / (k-1)^branching, where
-    surj(n, j) = sum_i (-1)^i C(j, i) (j-i)^n counts the maps of n leaves
-    onto j colors.  Returns (law as Fractions for u = 0..k-2, CDF array).
-    """
-    bins = k - 1
-    law = []
-    for u in range(bins):
-        j = bins - u
-        onto = sum((-1) ** i * math.comb(j, i) * (j - i) ** branching for i in range(j + 1))
-        law.append(Fraction(math.comb(bins, u) * onto, bins**branching))
-    cdf = np.array([float(c) for c in accumulate(law)])
-    cdf.setflags(write=False)
-    return tuple(law), cdf
 
 
 def sample_block_counts(
@@ -236,109 +207,6 @@ def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> 
     return factors
 
 
-@lru_cache(maxsize=None)
-def _message_law(branching: int, k: int, height: int) -> tuple:
-    """Exact law of the upward message of a height-`height` vertex of color 1.
-
-    A message is kept as its integer count vector divided by the gcd of its
-    entries (the counts of `exact_engine.count_levels`, up to scale); equal
-    vectors are merged.  Returns (entries, denominator): entries is a
-    sorted tuple of (vector, weight) pairs, the probability of a vector
-    being weight / denominator.
-    """
-    if height == 0:
-        return (((1,) + (0,) * (k - 1), 1),), 1
-    below, denominator = _message_law(branching, k, height - 1)
-    # a child of color j with message vector v lets the parent take color c
-    # in proportion to sum(v) - v[c], where v is the color-1 vector with
-    # entries 1 and j swapped
-    factors: dict = {}
-    for vec, weight in below:
-        total = sum(vec)
-        for j in range(1, k):
-            f = [total - x for x in vec]
-            f[0], f[j] = f[j], f[0]
-            key = _reduced(f)
-            factors[key] = factors.get(key, 0) + weight
-    law = {(1,) * k: 1}
-    for _ in range(branching):  # one child at a time
-        grown: dict = {}
-        for vec, weight in law.items():
-            for f, q in factors.items():
-                key = _reduced([a * b for a, b in zip(vec, f)])
-                grown[key] = grown.get(key, 0) + weight * q
-        law = grown
-    return tuple(sorted(law.items())), (denominator * (k - 1)) ** branching
-
-
-def _reduced(vec: list) -> tuple:
-    g = math.gcd(*vec)
-    return tuple(vec) if g == 1 else tuple(x // g for x in vec)
-
-
-def _support_size(branching: int, k: int, height: int) -> int:
-    """Number of distinct messages at a height; closed form at height 1,
-    where a vertex of color 1 leaves unused color 1 and the complement of
-    any nonempty set of at most `branching` of the other colors."""
-    if height == 1:
-        return sum(math.comb(k - 1, j) for j in range(1, min(branching, k - 1) + 1))
-    return len(_message_law(branching, k, height)[0])
-
-
-@lru_cache(maxsize=None)
-def _table_height(branching: int, k: int, depth: int) -> int:
-    """The height h <= depth whose messages `posterior_rows` draws: the
-    largest one whose table enumerates fewer than _TABLE_ENUMERATION_CAP
-    multisets of child types in its last level.  Height 1 is closed form
-    and always allowed."""
-    height = min(1, depth)
-    while height < depth:
-        types = (k - 1) * _support_size(branching, k, height)
-        if math.comb(branching + types - 1, branching) >= _TABLE_ENUMERATION_CAP:
-            break
-        height += 1
-    return height
-
-
-@lru_cache(maxsize=None)
-def _message_table(branching: int, k: int, height: int) -> tuple:
-    """`_message_law` in floats: (CDF, log(1 - m) rows, m rows).
-
-    Every entry is rounded once from exact values; the CDF in particular
-    comes from exact cumulative weights, so it ends at exactly 1.0.
-    """
-    entries, denominator = _message_law(branching, k, height)
-    cdf = np.array([c / denominator for c in accumulate(w for _, w in entries)])
-    messages, log_factors = [], []
-    for vec, _ in entries:
-        total = sum(vec)
-        messages.append([x / total for x in vec])
-        log_factors.append([_log_complement(x, total) for x in vec])
-    messages, log_factors = np.array(messages), np.array(log_factors)
-    for table in (cdf, messages, log_factors):
-        table.setflags(write=False)
-    return cdf, log_factors, messages
-
-
-def _log_complement(count: int, total: int) -> float:
-    """log(1 - count/total), from the exact ratio."""
-    if count == total:
-        return -math.inf
-    if 2 * count <= total:
-        return math.log1p(-count / total)
-    return math.log((total - count) / total)
-
-
-@lru_cache(maxsize=None)
-def _color_swaps(k: int) -> np.ndarray:
-    """Row c-1: the column order that turns a color-1 message into a color-c one."""
-    swaps = np.tile(np.arange(k), (k, 1))
-    swaps[:, 0] = np.arange(k)
-    swaps[np.arange(k), np.arange(k)] = 0
-    swaps.setflags(write=False)
-    return swaps
-
-
 def sample_down_up(shape: TreeShape, k: int, root_color: int, rng: RandomSource) -> int:
     """Broadcast from `root_color`, then redraw a root color from the
     exact posterior given only the broadcast leaves (`posterior_rows`)."""
@@ -358,8 +226,6 @@ def posterior_rows(
     folded in floats.  At depth 0, h = 0 and the table is the point mass on
     the root's own color.  An empty batch gives (0, k).
     """
-    from . import exact_engine
-
     _check_k(k)
     branching = shape.branching
     height = _table_height(branching, k, shape.depth)
@@ -380,9 +246,7 @@ def posterior_rows(
         if at_root:
             return messages[entry, columns]
         factors = log_factors[entry, columns]
-    return exact_engine._fold_factors(
-        factors.reshape(n, -1, k), branching, shape.depth - height
-    )
+    return _fold_factors(factors.reshape(n, -1, k), branching, shape.depth - height)
 
 
 def sample_from_rows(rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import InfeasibleChannelError, ValidationError
 from .estimators import Estimate, TailEstimate, batch_sums, mean_estimate, tail_estimate
 from .exact_engine import ColorDistribution
 from .rng import RandomSource
-from .tree_model import PartialLeafColoring, TreeShape, check_leaf_coloring
+from .tree_model import PartialLeafColoring, TreeShape, _check_k, check_leaf_coloring
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,7 @@ def _check_color(k: int, c: int, name: str) -> int:
 
 
 def _check_roots(k: int, c1: int, c2: int) -> tuple[int, int]:
-    broadcast_sampler._check_k(k)
+    _check_k(k)
     return _check_color(k, c1, "c1"), _check_color(k, c2, "c2")
 
 

@@ -6,9 +6,22 @@ colorings of the vertex's subtree that give it color c.  A leaf counts 1
 for each color it allows (every color if it is unconstrained); one level
 up, color c extends each child's subtree in (the child's total - the
 child's count for c) ways, and these multiply over the children.  The
-root law is the root's counts normalized.  Extension counts, the exact
-bias tables, interior-vertex marginals and the heat-bath block move in
-`dynamics` read the same counts.
+root law is the root's counts normalized.  Extension counts,
+interior-vertex marginals and the heat-bath block move in `dynamics`
+read the same counts.
+
+The exact laws of upward messages live here too.  A vertex's message
+(its counts, normalized) depends only on the leaves below it, which given
+the vertex's color are an independent broadcast, so the message of a
+height-h vertex has a finite law.  `_message_law` builds it in integers,
+one level at a time (the one-level recursion of Mezard & Montanari,
+J. Stat. Phys. 2006): each child takes a color j uniform on 2..k and a
+height-(h-1) message with colors 1 and j swapped, and extends the parent
+by the counting rule above.  Height 1 is the occupancy law of a bottom
+block (`_unused_slot_law` gives its number of unused colors).
+`broadcast_sampler` samples from these laws and their float tables, and
+`exact_bias` and `down_up_matrix` read alpha and the down-up matrix off
+the law of the root's message, with no enumeration of leaf colorings.
 
 Two backends for root marginals:
 
@@ -26,14 +39,15 @@ Two backends for root marginals:
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
+It is the only enumeration of colorings here.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +56,8 @@ from .tree_model import (
     STAR,
     PartialLeafColoring,
     TreeShape,
+    _check_colors_match,
+    _check_k,
     check_leaf_coloring,
     is_allowed,
 )
@@ -58,8 +74,7 @@ class ColorDistribution:
     backend: str
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError(f"need at least 2 colors, got k={self.k}")
+        _check_k(self.k)
         if self.backend not in ("rational", "float"):
             raise ValidationError(f"unknown backend {self.backend!r}")
         if len(self.weights) != self.k:
@@ -233,8 +248,7 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
     (batch, k); an empty batch gives (0, k).  Infeasible rows raise rather
     than produce NaNs.
     """
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    _check_k(k)
     rows = np.asarray(leaf_rows)
     if rows.ndim != 2 or rows.shape[1] != shape.leaf_count:
         raise ValidationError("leaf_rows must be (batch, leaf_count)")
@@ -415,54 +429,186 @@ def tv_root(
 
 
 # ---------------------------------------------------------------------------
-# exact bias by full enumeration
+# exact message laws
+
+
+#: largest number of child-type multisets, C(Delta + T - 1, Delta), that one
+#: level of a message table may enumerate (T child types)
+_TABLE_ENUMERATION_CAP = 100_000
+
+
+@lru_cache(maxsize=None)
+def _unused_slot_law(branching: int, k: int) -> tuple:
+    """Exact law of u, the number of the k-1 non-parent colors a bottom
+    block leaves unused, and its float CDF.
+
+    P(u) = C(k-1, u) surj(branching, k-1-u) / (k-1)^branching, where
+    surj(n, j) = sum_i (-1)^i C(j, i) (j-i)^n counts the maps of n leaves
+    onto j colors.  Returns (law as Fractions for u = 0..k-2, CDF array).
+    """
+    bins = k - 1
+    law = []
+    for u in range(bins):
+        j = bins - u
+        onto = sum((-1) ** i * math.comb(j, i) * (j - i) ** branching for i in range(j + 1))
+        law.append(Fraction(math.comb(bins, u) * onto, bins**branching))
+    cdf = np.array([float(c) for c in accumulate(law)])
+    cdf.setflags(write=False)
+    return tuple(law), cdf
+
+
+@lru_cache(maxsize=None)
+def _message_law(branching: int, k: int, height: int) -> tuple:
+    """Exact law of the upward message of a height-`height` vertex of color 1.
+
+    A message is kept as its integer count vector divided by the gcd of its
+    entries (the counts of `count_levels`, up to scale); equal vectors are
+    merged.  Returns (entries, denominator): entries is a sorted tuple of
+    (vector, weight) pairs, the probability of a vector being
+    weight / denominator.  Raises CapacityError before building a level
+    whose law may hold more than ENUMERATION_GUARD / k vectors: at most
+    one per multiset of child types and one per leaf coloring.
+    """
+    if height == 0:
+        return (((1,) + (0,) * (k - 1), 1),), 1
+    below, denominator = _message_law(branching, k, height - 1)
+    types = (k - 1) * _support_size(branching, k, height - 1)
+    multisets = math.comb(branching + types - 1, branching)
+    _guard_enumeration(
+        math.log(k) + min(math.log(multisets), branching**height * math.log(k)),
+        f"the height-{height} message law",
+    )
+    # a child of color j with color-1 message vector v (entries 1 and j
+    # swapped) lets the parent take each color in proportion to its
+    # completions, as in `count_levels`
+    factors: dict = {}
+    for vec, weight in below:
+        for j in range(1, k):
+            swapped = list(vec)
+            swapped[0], swapped[j] = swapped[j], swapped[0]
+            key = _reduced(_times_completions([1] * k, swapped))
+            factors[key] = factors.get(key, 0) + weight
+    law = {(1,) * k: 1}
+    for _ in range(branching):  # one child at a time
+        grown: dict = {}
+        for vec, weight in law.items():
+            for f, q in factors.items():
+                key = _reduced([a * b for a, b in zip(vec, f)])
+                grown[key] = grown.get(key, 0) + weight * q
+        law = grown
+    return tuple(sorted(law.items())), (denominator * (k - 1)) ** branching
+
+
+def _reduced(vec: list) -> tuple:
+    g = math.gcd(*vec)
+    return tuple(vec) if g == 1 else tuple(x // g for x in vec)
+
+
+def _support_size(branching: int, k: int, height: int) -> int:
+    """Number of distinct messages at a height; closed form at height 1,
+    where a vertex of color 1 leaves unused color 1 and the complement of
+    any nonempty set of at most `branching` of the other colors."""
+    if height == 1:
+        return sum(math.comb(k - 1, j) for j in range(1, min(branching, k - 1) + 1))
+    return len(_message_law(branching, k, height)[0])
+
+
+@lru_cache(maxsize=None)
+def _table_height(branching: int, k: int, depth: int) -> int:
+    """The height h <= depth whose messages `broadcast_sampler.posterior_rows`
+    draws: the largest one whose table enumerates fewer than
+    _TABLE_ENUMERATION_CAP multisets of child types in its last level.
+    Height 1 is closed form and always allowed."""
+    height = min(1, depth)
+    while height < depth:
+        types = (k - 1) * _support_size(branching, k, height)
+        if math.comb(branching + types - 1, branching) >= _TABLE_ENUMERATION_CAP:
+            break
+        height += 1
+    return height
+
+
+@lru_cache(maxsize=None)
+def _message_table(branching: int, k: int, height: int) -> tuple:
+    """`_message_law` in floats: (CDF, log(1 - m) rows, m rows).
+
+    Every entry is rounded once from exact values; the CDF in particular
+    comes from exact cumulative weights, so it ends at exactly 1.0.
+    """
+    entries, denominator = _message_law(branching, k, height)
+    cdf = np.array([c / denominator for c in accumulate(w for _, w in entries)])
+    messages, log_factors = [], []
+    for vec, _ in entries:
+        total = sum(vec)
+        messages.append([x / total for x in vec])
+        log_factors.append([_log_complement(x, total) for x in vec])
+    messages, log_factors = np.array(messages), np.array(log_factors)
+    for table in (cdf, messages, log_factors):
+        table.setflags(write=False)
+    return cdf, log_factors, messages
+
+
+def _log_complement(count: int, total: int) -> float:
+    """log(1 - count/total), from the exact ratio."""
+    if count == total:
+        return -math.inf
+    if 2 * count <= total:
+        return math.log1p(-count / total)
+    return math.log((total - count) / total)
+
+
+@lru_cache(maxsize=None)
+def _color_swaps(k: int) -> np.ndarray:
+    """Row c-1: the column order that turns a color-1 message into a color-c one."""
+    swaps = np.tile(np.arange(k), (k, 1))
+    swaps[:, 0] = np.arange(k)
+    swaps[np.arange(k), np.arange(k)] = 0
+    swaps.setflags(write=False)
+    return swaps
+
+
+# ---------------------------------------------------------------------------
+# exact bias from the message law
 
 
 @lru_cache(maxsize=None)
 def _bias_tables(branching: int, depth: int, k: int):
-    shape = TreeShape(branching, depth)
-    L = shape.leaf_count
-    _guard_enumeration(L * math.log(k), "leaf-coloring enumeration")
-    grand_total = 0
-    abs_dev = [0] * k  # sum over X of |k * omega_c - total(X)|
-    cross = [[Fraction(0)] * k for _ in range(k)]  # sum of omega_c * omega_c' / total(X)
-    for combo in itertools.product(range(1, k + 1), repeat=L):
-        omega = count_levels(_leaf_bottom(combo, k), branching, depth)[-1][0]
-        total = sum(omega)
-        if total == 0:
-            continue
-        grand_total += total
-        for c in range(k):
-            abs_dev[c] += abs(k * omega[c] - total)
-            row = cross[c]
-            for c2 in range(k):
-                if omega[c] and omega[c2]:
-                    row[c2] += Fraction(omega[c] * omega[c2], total)
-    alphas = tuple(Fraction(s, k * grand_total) for s in abs_dev)
+    """Exact alphas and down-up matrix from the law of the root's message.
+
+    Given root color 1 the message m has weight w / D on each vector v
+    (total t = sum(v)), and its law is symmetric in colors 2..k.  Averaging
+    over the root color, alpha = E sum_j |m_j - 1/k| / k for every color,
+    the down-up diagonal is E m_1, and each off-diagonal entry takes an
+    equal share of the rest.  Numerators are summed per distinct t before
+    any Fraction is made.
+    """
+    entries, denominator = _message_law(branching, k, depth)
+    deviation: dict = {}  # t -> sum of w * sum_j |k v_j - t|
+    own: dict = {}  # t -> sum of w * v_1
+    for vec, weight in entries:
+        total = sum(vec)
+        deviation[total] = deviation.get(total, 0) + weight * sum(abs(k * x - total) for x in vec)
+        own[total] = own.get(total, 0) + weight * vec[0]
+    alpha = sum(Fraction(s, t) for t, s in deviation.items()) / (k * k * denominator)
+    diagonal = sum(Fraction(s, t) for t, s in own.items()) / denominator
+    off = (1 - diagonal) / (k - 1)
     # row c of the matrix: law of the re-inferred root given true root c
     matrix = tuple(
-        tuple(Fraction(k, grand_total) * cell for cell in row) for row in cross
+        tuple(diagonal if c == c2 else off for c2 in range(k)) for c in range(k)
     )
-    return alphas, matrix
+    return (alpha,) * k, matrix
 
 
 def down_up_matrix(shape: TreeShape, k: int) -> tuple:
     """Row c: expected root law recovered from leaves broadcast from root c."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    _check_k(k)
     _, matrix = _bias_tables(shape.branching, shape.depth, k)
     return matrix
 
 
 def exact_bias(shape: TreeShape, k: int) -> BiasReport:
-    """Exact per-color alpha and beta by enumerating all full leaf colorings."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    """Exact per-color alpha and beta, read off the exact law of the root's message."""
+    _check_k(k)
     alphas, matrix = _bias_tables(shape.branching, shape.depth, k)
     betas = tuple(abs(matrix[c][c] - Fraction(1, k)) for c in range(k))
     return BiasReport(k=k, alpha=alphas, beta=betas, exact=True)
-
-
-def _check_colors_match(k: int, coloring: PartialLeafColoring) -> None:
-    if coloring.k != k:
-        raise ValidationError(f"coloring was built for k={coloring.k}, not k={k}")

@@ -111,8 +111,7 @@ class PartialLeafColoring:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError(f"need at least 2 colors, got k={self.k}")
+        _check_k(self.k)
         object.__setattr__(
             self, "values", _as_color_array(self.values, self.k, allow_star=True)
         )
@@ -151,8 +150,7 @@ class FullColoring:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError(f"need at least 2 colors, got k={self.k}")
+        _check_k(self.k)
         object.__setattr__(
             self, "values", _as_color_array(self.values, self.k, allow_star=False)
         )
@@ -206,7 +204,7 @@ def is_allowed(shape: TreeShape, k: int, coloring: PartialLeafColoring) -> bool:
     Computed bottom-up with per-vertex feasible color sets: a color works
     at an internal vertex iff every child can still take some other color.
     """
-    _check_k(k, coloring)
+    _check_colors_match(k, coloring)
     check_leaf_coloring(shape, coloring)
     return bool(is_allowed_batch(shape, k, coloring.values[np.newaxis, :])[0])
 
@@ -219,8 +217,7 @@ def is_allowed_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.ndar
     a parent can take c when every child has some feasible color and no
     child forces c.
     """
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    _check_k(k)
     rows = np.asarray(leaf_rows)
     if rows.ndim != 2 or rows.shape[1] != shape.leaf_count:
         raise ValidationError("leaf_rows must be (batch, leaf_count)")
@@ -239,6 +236,11 @@ def is_allowed_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.ndar
     return feasible[:, :, 0].any(axis=0)
 
 
-def _check_k(k: int, coloring: PartialLeafColoring) -> None:
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValidationError(f"need at least 2 colors, got k={k}")
+
+
+def _check_colors_match(k: int, coloring: PartialLeafColoring) -> None:
     if coloring.k != k:
         raise ValidationError(f"coloring was built for k={coloring.k}, not k={k}")

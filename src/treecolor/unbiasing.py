@@ -23,7 +23,7 @@ from . import broadcast_sampler
 from .errors import RegimeError, ValidationError
 from .estimators import Estimate, batch_sums, proportion_estimate
 from .rng import RandomSource
-from .tree_model import PartialLeafColoring, TreeShape, check_leaf_coloring
+from .tree_model import PartialLeafColoring, TreeShape, _check_k, check_leaf_coloring
 
 _TIE = 1e-9  # tolerance making threshold comparisons inclusive at exact ties
 
@@ -59,8 +59,7 @@ def epsilon_from(k: int, branching: int) -> UnbiasingParams:
 
 def count_unused_colors(block, k: int) -> int:
     """Colors in 1..k absent from the block; unconstrained entries never count."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 colors, got k={k}")
+    _check_k(k)
     vals = np.asarray(block)
     present = np.unique(vals[(vals >= 1) & (vals <= k)])
     return k - present.size
@@ -153,7 +152,7 @@ def estimate_q(
     of all branching**(depth-1) bottom blocks are i.i.d. and are drawn
     directly, without broadcasting any level of the tree.
     """
-    broadcast_sampler._check_k(k)
+    _check_k(k)
     if shape.depth < 1:
         raise ValidationError("the classifier is undefined on a depth-0 tree")
     heights = qualifying_heights(shape, params) if highly else None

@@ -24,18 +24,18 @@ from treecolor import (
     sample_leaf_rows,
     sample_leaves_given_root,
 )
-from treecolor.broadcast_sampler import (
+from treecolor.broadcast_sampler import _unused_log_factors, posterior_rows, sample_from_rows
+from treecolor.rng import integer_below
+from treecolor.exact_engine import (
+    _fold_factors,
     _message_law,
     _message_table,
     _support_size,
     _table_height,
-    _unused_log_factors,
     _unused_slot_law,
-    posterior_rows,
-    sample_from_rows,
+    count_levels,
+    root_marginal_batch,
 )
-from treecolor.rng import integer_below
-from treecolor.exact_engine import _fold_factors, count_levels, root_marginal_batch
 
 from conftest import CHI2_P_FLOOR, chi2_pvalue, downward_leaf_law
 

@@ -6,6 +6,7 @@ explicit diffs.
 """
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -32,7 +33,13 @@ from treecolor import (
     vertex_conditional_marginal,
 )
 from treecolor.broadcast_sampler import _unused_log_factors, posterior_rows
-from treecolor.exact_engine import _fold_factors, p_max, root_marginal_batch
+from treecolor.exact_engine import (
+    _fold_factors,
+    _message_law,
+    count_levels,
+    p_max,
+    root_marginal_batch,
+)
 from treecolor.tree_model import STAR
 
 
@@ -466,6 +473,63 @@ def test_bias_sandwich_inequality():
         for alpha, beta in zip(report.alpha, report.beta):
             assert beta <= alpha * (k - 1)
             assert alpha * alpha <= beta
+
+
+def enumerated_bias_tables(branching, depth, k):
+    """Oracle for exact_bias and down_up_matrix: every leaf coloring X,
+    weighted by its extension count, with the root law read off its counts."""
+    grand_total = 0
+    abs_dev = [0] * k  # sum over X of |k * omega_c - total(X)|
+    cross = [[Fraction(0)] * k for _ in range(k)]  # sum of omega_c * omega_c' / total(X)
+    for combo in product(range(1, k + 1), repeat=branching**depth):
+        bottom = [[int(c == v) for c in range(1, k + 1)] for v in combo]
+        omega = count_levels(bottom, branching, depth)[-1][0]
+        total = sum(omega)
+        if total == 0:
+            continue
+        grand_total += total
+        for c in range(k):
+            abs_dev[c] += abs(k * omega[c] - total)
+            for c2 in range(k):
+                if omega[c] and omega[c2]:
+                    cross[c][c2] += Fraction(omega[c] * omega[c2], total)
+    alphas = tuple(Fraction(s, k * grand_total) for s in abs_dev)
+    # row c of the matrix: law of the re-inferred root given true root c
+    matrix = tuple(tuple(Fraction(k, grand_total) * cell for cell in row) for row in cross)
+    return alphas, matrix
+
+
+@pytest.mark.parametrize("delta, k, depth", [
+    (2, 5, 1), (2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 4, 2), (2, 2, 1),
+])
+def test_exact_bias_matches_enumeration(delta, k, depth):
+    # the down-up tests in test_broadcast_sampler.py compare posterior_rows,
+    # which shares _message_law with down_up_matrix, against these shapes
+    alphas, matrix = enumerated_bias_tables(delta, depth, k)
+    shape = TreeShape(delta, depth)
+    assert exact_bias(shape, k).alpha == alphas
+    assert down_up_matrix(shape, k) == matrix
+
+
+def test_exact_bias_beyond_enumeration():
+    # 3**16 = 4.3e7 and 3**27 = 7.6e12 leaf colorings: out of enumeration's reach
+    k = 3
+    for delta, depth in [(2, 4), (3, 3)]:
+        report = exact_bias(TreeShape(delta, depth), k)
+        for alpha, beta in zip(report.alpha, report.beta):
+            assert beta <= alpha * (k - 1)
+            assert alpha * alpha <= beta
+    # population dynamics give 0.11383 here, Monte Carlo 0.11368 +- 0.00054
+    assert abs(float(exact_bias(TreeShape(2, 4), k).alpha[0]) - 0.1137921) < 1e-7
+
+
+@pytest.mark.parametrize("delta, k, height", [(2, 3, 5), (20, 50, 1)])
+def test_message_law_capacity_guard(delta, k, height):
+    # the guard trips before the level is built
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        _message_law(delta, k, height)
+    assert time.perf_counter() - start < 5
 
 
 def test_exact_bias_capacity_guard():
