@@ -26,7 +26,8 @@ broadcast; so the message of a height-h vertex has a finite law.
 law `_unused_slot_law`) and their float tables; this module only samples
 from them.  The sampler broadcasts down to depth depth - h only, draws
 each vertex's message there from its table (from the occupancy sets above
-at h = 1), and folds the levels above in floats.  `sample_down_up`
+at h = 1) by guide-table inversion of its CDF, and folds the levels above
+in floats, color-major (`exact_engine._fold_factors`).  `sample_down_up`
 redraws a root color from one such row, so every posterior draw takes
 this route.
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import InfeasibleBoundaryError, ValidationError
 from .exact_engine import (
+    _MessageTable,
     _color_swaps,
     _fold_factors,
     _message_table,
@@ -134,8 +136,8 @@ def _unused_slots(branching: int, k: int, size, gen) -> np.ndarray:
 
     The law of u does not depend on the parent's color, so the unused
     counts 1 + u of all bottom blocks are i.i.d.  u is the number of CDF
-    entries at or below a uniform x in [0, 1), as `searchsorted(side="right")`
-    gives it, counted with one pass per entry strictly between 0 and 1.
+    entries at or below a uniform x in [0, 1), counted with one pass per
+    entry strictly between 0 and 1.
     """
     _, cdf = _unused_slot_law(branching, k)
     x = gen.random(size)
@@ -192,10 +194,15 @@ def _unused_log_factors(unused: np.ndarray) -> np.ndarray:
 
 
 def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
-    """(len(parents), k) log(1 - m) for the messages of height-1 vertices
+    """(k, len(parents)) log(1 - m) for the messages of height-1 vertices
     with fresh children: log(1 - 1/s) on each vertex's s unused colors
     (`_unused_entries`) and 0 on the used ones, bitwise as
-    `_unused_log_factors` gives them from the scattered sets."""
+    `_unused_log_factors` gives them from the scattered sets.
+
+    The factors are scattered into the rows of an (N, k) array and returned
+    as its transpose, a view: the flat index is computed in place, and the
+    fold's sibling sums read each vertex's k factors from one row.
+    """
     sizes, vertex, color = _unused_entries(parents, k, branching, gen)
     with np.errstate(divide="ignore"):
         values = np.log1p(-1.0 / np.arange(1, k + 1))[sizes[vertex] - 1]
@@ -204,7 +211,26 @@ def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> 
     del sizes, color  # the zeroed array is then the only large one
     factors = np.zeros((parents.size, k))
     factors.reshape(-1)[vertex] = values
-    return factors
+    return factors.T
+
+
+def _table_entries(table: _MessageTable, x: np.ndarray) -> np.ndarray:
+    """The entry of a `_message_table` that each uniform x in [0, 1) draws:
+    the number of CDF values at or below x.
+
+    A guide-table inversion (Chen & Asau 1974): x lies in bucket j, the
+    floor of x * M, and guide[j] CDF values lie at or below j / M; the draws
+    that still have a CDF value at or below them step forward one entry at
+    a time.  M is a power of two, so j is exact, and every step ends, since
+    the CDF ends at 1.0 > x.
+    """
+    bucket = (x * table.guide.size).astype(np.intp)
+    entry = table.guide[bucket]
+    step = (table.cdf[entry] <= x).nonzero()[0]
+    while step.size:
+        entry[step] += 1
+        step = step[table.cdf[entry[step]] <= x[step]]
+    return entry
 
 
 def sample_down_up(shape: TreeShape, k: int, root_color: int, rng: RandomSource) -> int:
@@ -222,9 +248,10 @@ def posterior_rows(
     Distributed exactly as `root_marginal_batch` of `sample_leaf_rows`.
     Colors are broadcast down to depth - h, h = `_table_height`; each
     vertex there draws its height-h message by inverting its table's CDF
-    with one uniform (the occupancy law at h = 1), and the levels above are
-    folded in floats.  At depth 0, h = 0 and the table is the point mass on
-    the root's own color.  An empty batch gives (0, k).
+    with one uniform through the table's guide (`_table_entries`; the
+    occupancy law at h = 1), its log-factors are gathered color-major, and
+    the levels above are folded in floats.  At depth 0, h = 0 and the table
+    is the point mass on the root's own color.  An empty batch gives (0, k).
     """
     _check_k(k)
     branching = shape.branching
@@ -240,18 +267,28 @@ def posterior_rows(
             return unused / unused.sum(axis=1, keepdims=True)
         factors = _occupancy_log_factors(colors, k, branching, gen)
     else:
-        cdf, log_factors, messages = _message_table(branching, k, height)
-        entry = np.searchsorted(cdf, gen.random(colors.size), side="right")[:, np.newaxis]
-        columns = _color_swaps(k)[colors - 1]
+        table = _message_table(branching, k, height)
+        entry = _table_entries(table, gen.random(colors.size))
         if at_root:
-            return messages[entry, columns]
-        factors = log_factors[entry, columns]
-    return _fold_factors(factors.reshape(n, -1, k), branching, shape.depth - height)
+            return table.messages[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
+        # a vertex of color r reads entry e of its table at (r - 1) * E + e
+        entry += np.multiply(colors - 1, table.cdf.size, dtype=np.intp)
+        factors = np.take(table.by_color, entry, axis=1)
+    return _fold_factors(factors.reshape(k, n, -1), branching, shape.depth - height)
 
 
 def sample_from_rows(rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draw one color (1..k) from each probability row."""
+    """Draw one color (1..k) from each row of nonnegative weights.
+
+    A uniform u scaled by the row's total t draws the color c whose
+    interval [cum_(c-1), cum_c) holds it, so a color of weight 0 is never
+    drawn.  Where rounding carries u * t past every such interval, the draw
+    is the color at which the cumulative sum first reaches t, whose weight
+    is positive.
+    """
     cum = np.cumsum(rows, axis=1)
-    u = gen.random((rows.shape[0], 1))
-    idx = (cum < u).sum(axis=1)
-    return (np.minimum(idx, rows.shape[1] - 1) + 1).astype(np.int16)
+    total = cum[:, -1:]
+    u = gen.random((rows.shape[0], 1)) * total
+    # both conditions hold on a prefix of each row, as cum never decreases
+    idx = ((cum <= u) & (cum < total)).sum(axis=1)
+    return (idx + 1).astype(np.int16)

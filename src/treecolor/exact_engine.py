@@ -30,12 +30,15 @@ Two backends for root marginals:
   10^4 vertices.
 * "float" carries per-color log-weights from level to level and normalizes
   only at the root.  A child's factor 1 - p_c is summed from its other
-  colors, so a message within 2^-53 of a point mass still leaves the other
-  colors their weight.  Its batched form, `root_marginal_batch`, gathers
-  the first level from the leaves; `_fold_factors`, the fold it ends in,
-  also folds the bottom-level messages that
-  `broadcast_sampler.posterior_rows` draws from exact tables in place of
-  leaves.
+  colors, as a prefix plus a suffix sum, so a message within 2^-53 of a
+  point mass still leaves the other colors their weight.  Its batched
+  form, `root_marginal_batch`, gathers the first level from the leaves;
+  `_fold_factors`, the fold it ends in, also folds the bottom-level
+  messages that `broadcast_sampler.posterior_rows` draws from exact tables
+  in place of leaves.  The fold is color-major: it holds (k, batch,
+  width) arrays and takes maxima and sums over colors one color at a
+  time, in ascending order, and sums siblings one at a time, in tree
+  order.
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,30 +219,54 @@ def root_marginal(
 # batched float recursion
 
 
-def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
-    """Rows of log-weights -> probability rows; all -inf rows are infeasible."""
-    mx = logw.max(axis=-1)
-    if np.isneginf(mx).any():
+def _normalized(logw: np.ndarray) -> np.ndarray:
+    """Color-major log-weights (k, ...) -> probabilities over the first axis.
+
+    The max is taken and the total summed color by color, in ascending
+    order; a vertex whose every color is at -inf is infeasible.
+    """
+    top = np.maximum(logw[0], logw[1])
+    for row in logw[2:]:
+        np.maximum(top, row, out=top)
+    if np.isneginf(top).any():
         raise InfeasibleBoundaryError("a leaf coloring admits no proper extension")
-    p = np.exp(logw - mx[..., np.newaxis])
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.exp(logw - top)
+    total = p[0] + p[1]
+    for row in p[2:]:
+        total += row
+    p /= total
     return p
 
 
-def _combine_up_float(logw: np.ndarray, branching: int, levels: int) -> np.ndarray:
-    """Fold (batch, width, k) log-weights up `levels` times.
+def _log_complements(p: np.ndarray) -> np.ndarray:
+    """log(1 - p_c) for color-major probabilities p of shape (k, ...).
 
-    A child with message p lets its parent take color c in proportion to
-    1 - p_c, which is summed from the child's other colors: 1 - p_c taken
-    by subtraction rounds to 0 once p_c is within 2^-53 of 1, and would
-    forbid a color the tree allows.
+    1 - p_c is summed from the other colors, as a prefix sum below c plus
+    a suffix sum above it: taken by subtraction it rounds to 0 once p_c is
+    within 2^-53 of 1, and would forbid a color the tree allows.
     """
-    others = 1.0 - np.eye(logw.shape[-1])
-    for _ in range(levels):
-        with np.errstate(divide="ignore"):
-            logw = np.log(_normalize_log_weights(logw) @ others)
-        logw = logw.reshape(logw.shape[0], -1, branching, logw.shape[-1]).sum(axis=2)
-    return logw
+    k = p.shape[0]
+    rest = np.empty_like(p)
+    rest[k - 2] = p[k - 1]
+    for c in range(k - 3, -1, -1):  # suffix sums
+        np.add(rest[c + 1], p[c + 1], out=rest[c])
+    below = p[0].copy()
+    for c in range(1, k - 1):  # plus prefix sums
+        rest[c] += below
+        below += p[c]
+    rest[k - 1] = below
+    with np.errstate(divide="ignore"):
+        return np.log(rest, out=rest)
+
+
+def _sibling_sums(logw: np.ndarray, branching: int) -> np.ndarray:
+    """(k, batch, width) -> (k, batch, width / branching): each block of
+    siblings summed into its parent, one sibling at a time."""
+    blocks = logw.reshape(logw.shape[:2] + (-1, branching))
+    total = blocks[..., 0] + blocks[..., 1]
+    for j in range(2, branching):
+        total += blocks[..., j]
+    return total
 
 
 def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.ndarray:
@@ -262,22 +290,27 @@ def root_marginal_batch(shape: TreeShape, k: int, leaf_rows: np.ndarray) -> np.n
         return leaf_msgs[rows[:, 0]]
     if rows.shape[0] == 0:
         return np.empty((0, k))
-    # the first fold level, gathered from log1p(-message) per leaf value
+    # the first fold level, gathered color by color from log1p(-message)
+    # per leaf value
     with np.errstate(divide="ignore"):
-        log_table = np.log1p(-leaf_msgs)
-    return _fold_factors(log_table[rows], shape.branching, shape.depth)
+        by_color = np.ascontiguousarray(np.log1p(-leaf_msgs).T)
+    return _fold_factors(np.take(by_color, rows, axis=1), shape.branching, shape.depth)
 
 
 def _fold_factors(factors: np.ndarray, branching: int, depth: int) -> np.ndarray:
     """(batch, k) root marginals from the log-factors log(1 - m) of the
-    messages m of every vertex at one depth >= 1, given as (batch, width, k).
+    messages m of every vertex at one depth >= 1, given color-major as
+    (k, batch, width).
 
-    Sums each block of siblings into their parent's log-weights, then folds
-    the remaining depth - 1 levels.
+    A child with message m lets its parent take color c in proportion to
+    1 - m_c, so each block of siblings sums into its parent's log-weights;
+    the parents' messages then give the next level's factors, up to the
+    root.
     """
-    logw = factors.reshape(factors.shape[0], -1, branching, factors.shape[-1]).sum(axis=2)
-    logw = _combine_up_float(logw, branching, depth - 1)
-    return _normalize_log_weights(logw[:, 0, :])
+    logw = _sibling_sums(factors, branching)
+    for _ in range(depth - 1):
+        logw = _sibling_sums(_log_complements(_normalized(logw)), branching)
+    return np.ascontiguousarray(_normalized(logw[:, :, 0]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +561,30 @@ def _table_height(branching: int, k: int, depth: int) -> int:
     return height
 
 
+#: least number of guide-table buckets per message-table entry
+_GUIDE_BUCKETS_PER_ENTRY = 4
+
+
+class _MessageTable(NamedTuple):
+    """`_message_law` in floats, as `broadcast_sampler` draws from it.
+
+    Row e of `messages` is message e normalized and `cdf` the cumulative
+    law of the entries.  `guide[j]` is the number of CDF values at or below
+    j / M, for the M buckets of the guide table: a power of two, so that
+    j / M and x * M are exact.  `by_color[c, (r - 1) * E + e]` is log(1 -
+    m_(c+1)) for the message m of entry e at a vertex of color r (E
+    entries); its first E columns are the log-factors of color 1.
+    """
+
+    cdf: np.ndarray
+    messages: np.ndarray
+    guide: np.ndarray
+    by_color: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _message_table(branching: int, k: int, height: int) -> tuple:
-    """`_message_law` in floats: (CDF, log(1 - m) rows, m rows).
+def _message_table(branching: int, k: int, height: int) -> _MessageTable:
+    """`_message_law` in floats, built once per (branching, k, height).
 
     Every entry is rounded once from exact values; the CDF in particular
     comes from exact cumulative weights, so it ends at exactly 1.0.
@@ -543,9 +597,17 @@ def _message_table(branching: int, k: int, height: int) -> tuple:
         messages.append([x / total for x in vec])
         log_factors.append([_log_complement(x, total) for x in vec])
     messages, log_factors = np.array(messages), np.array(log_factors)
-    for table in (cdf, messages, log_factors):
-        table.setflags(write=False)
-    return cdf, log_factors, messages
+    buckets = 1 << (_GUIDE_BUCKETS_PER_ENTRY * cdf.size - 1).bit_length()
+    # cdf * M is exact, so a CDF value lies at or below j / M exactly when
+    # the ceiling of cdf * M is at most j
+    ceilings = np.ceil(cdf * buckets).astype(np.intp)
+    guide = np.cumsum(np.bincount(ceilings, minlength=buckets + 1))[:buckets]
+    # log_factors[e, _color_swaps(k)[r, c]] at [c, r, e]
+    by_color = log_factors[:, _color_swaps(k)].transpose(2, 1, 0).reshape(k, -1)
+    table = _MessageTable(cdf, messages, guide, by_color)
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 def _log_complement(count: int, total: int) -> float:

@@ -1,6 +1,7 @@
 """Broadcast (root-down) samplers checked against exact small-instance laws."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -24,9 +25,16 @@ from treecolor import (
     sample_leaf_rows,
     sample_leaves_given_root,
 )
-from treecolor.broadcast_sampler import _unused_log_factors, posterior_rows, sample_from_rows
+from treecolor.broadcast_sampler import (
+    _table_entries,
+    _unused_log_factors,
+    posterior_rows,
+    sample_from_rows,
+)
+from treecolor.couplings import estimate_alpha
 from treecolor.rng import integer_below
 from treecolor.exact_engine import (
+    _color_swaps,
     _fold_factors,
     _message_law,
     _message_table,
@@ -375,7 +383,9 @@ def test_message_tables_match_enumerated_counts(branching, k, height):
     assert got == expected
     assert len(entries) == _support_size(branching, k, height)
     # the float table is the exact one rounded once per entry
-    cdf, log_factors, messages = _message_table(branching, k, height)
+    table = _message_table(branching, k, height)
+    cdf, messages = table.cdf, table.messages
+    log_factors = table.by_color[:, : cdf.size].T
     cumulative = np.cumsum([Fraction(w, denominator) for _, w in entries])
     assert cdf.tolist() == [float(c) for c in cumulative]
     assert cdf[-1] == 1.0
@@ -446,13 +456,70 @@ def test_posterior_rows_at_height1_are_block_counts():
     ]:
         shape = TreeShape(branching, depth)
         unused = sample_block_counts(shape, k, n, RandomSource(4), root_colors=roots)
-        expected = _fold_factors(_unused_log_factors(unused), branching, depth - 1)
+        factors = np.moveaxis(_unused_log_factors(unused), -1, 0)
+        expected = _fold_factors(factors, branching, depth - 1)
         got = posterior_rows(shape, k, n, RandomSource(4), root_colors=roots)
         assert np.array_equal(got, expected)
     # depth 1: the root's message is uniform on its unused colors
     unused = sample_block_counts(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
     got = posterior_rows(TreeShape(6, 1), 8, 50, RandomSource(5))
     assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
+
+
+# (branching, k, height) of every table the tests and the benchmark draw from
+DRAWN_TABLES = [(2, 3, 0), (2, 3, 2), (2, 3, 3), (2, 3, 4), (3, 3, 2), (3, 3, 3), (20, 3, 2),
+                (2, 4, 2), (2, 4, 3), (3, 4, 2), (2, 5, 2), (2, 5, 3), (3, 2, 3)]
+
+
+@pytest.mark.parametrize("branching, k, height", DRAWN_TABLES)
+def test_table_draw_is_the_binary_search(branching, k, height):
+    # the guide-table draw returns the entry searchsorted(side="right") does
+    table = _message_table(branching, k, height)
+    cdf = table.cdf
+    assert cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all()
+    edges = np.arange(table.guide.size) / table.guide.size
+    x = np.concatenate([
+        [0.0, 1 - 2.0**-53],
+        cdf, np.nextafter(cdf, 0),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+        np.random.default_rng(height).random(10**6),
+    ])
+    x = x[(x >= 0) & (x < 1)]
+    assert np.array_equal(_table_entries(table, x), np.searchsorted(cdf, x, side="right"))
+    # the color-major gather reads the rows the color swaps give
+    colors = np.arange(10 * k) % k + 1
+    entry = _table_entries(table, x[: colors.size])
+    log_factors = table.by_color[:, : cdf.size].T
+    swapped = log_factors[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
+    gathered = np.take(table.by_color, (colors - 1) * cdf.size + entry, axis=1)
+    assert np.array_equal(gathered, swapped.T)
+
+
+# SHA-256 of posterior_rows(...).tobytes().  The k = 3 digests are those of a
+# binary search over each table's CDF and a row-major fold; the k = 8 one is
+# the color-major fold's, whose sums of 1 - m_c round differently at k >= 4.
+PINNED_POSTERIORS = [
+    ((2, 12), 3, 500, 8, None,
+     "585e1c17c1da704feffa0bd9ac174480c2a0ca23441c5f651c2d142a2c0c0759"),
+    ((20, 5), 3, 10, 21, None,
+     "977d8aea1fe7cea41c207a7d362c08b41cbc93da9a3f1a3989abaeeb2e4f34f8"),
+    ((2, 6), 3, 7, 5, (1, 3, 2, 2, 3, 1, 1),
+     "90632790448a4d2786abbc06c2093bfcacc72ba0797529dc62b5776d300c5cab"),
+    ((20, 5), 8, 1, 3, None,
+     "8c634521ece1eda2974dba30e8b489f7b71b06dcbb5422da308c0940136155c1"),
+]
+
+
+@pytest.mark.parametrize("tree, k, n, seed, roots, digest", PINNED_POSTERIORS)
+def test_posterior_rows_pinned_draws(tree, k, n, seed, roots, digest):
+    roots = None if roots is None else np.array(roots, dtype=np.int16)
+    rows = posterior_rows(TreeShape(*tree), k, n, RandomSource(seed), root_colors=roots)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def test_estimate_alpha_pinned():
+    got = estimate_alpha(TreeShape(2, 8), 3, 1, 400, RandomSource(11))
+    assert (got.mean, got.stderr, got.n) == (0.026082135226725516, 0.0009924757745624808, 400)
 
 
 def test_posterior_rows_depth0():
@@ -476,6 +543,26 @@ def test_sample_from_rows_law():
     draws = sample_from_rows(rows, np.random.default_rng(13))
     counts = np.bincount(draws, minlength=4)[1:]
     assert chi2_pvalue(counts, probs) > CHI2_P_FLOOR
+
+
+class FixedUniforms:
+    """A generator stub whose every uniform is one given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+def test_sample_from_rows_never_draws_a_zero_weight():
+    # seven weights of 1/7 add up to 1 - 2^-52, below the largest uniform
+    sevenths = np.array([[1 / 7] * 7 + [0.0]])
+    assert np.cumsum(sevenths)[-1] < 1 - 2.0**-53
+    halves = np.array([[0.0, 0.5, 0.5]])
+    for u, expected in [(0.0, (1, 2)), (1 - 2.0**-53, (7, 3))]:
+        for rows, color in zip((sevenths, halves), expected):
+            assert sample_from_rows(rows, FixedUniforms(u)).tolist() == [color]
 
 
 def test_subtree_marginal_matches_shallower_law():

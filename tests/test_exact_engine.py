@@ -28,14 +28,22 @@ from treecolor import (
     exact_bias,
     root_marginal,
     root_marginal_bruteforce,
+    sample_leaf_rows,
     tv_distance,
     tv_root,
     vertex_conditional_marginal,
 )
-from treecolor.broadcast_sampler import _unused_log_factors, posterior_rows
+from treecolor.broadcast_sampler import (
+    _occupancy_log_factors,
+    _table_entries,
+    _unused_log_factors,
+    posterior_rows,
+)
 from treecolor.exact_engine import (
+    _color_swaps,
     _fold_factors,
     _message_law,
+    _message_table,
     count_levels,
     p_max,
     root_marginal_batch,
@@ -248,7 +256,8 @@ def test_block_count_marginals():
         for block in range(2):
             for c in row[2 * block : 2 * block + 2]:
                 counts[i, block, c - 1] += 1
-    got = _fold_factors(_unused_log_factors(counts == 0), shape.branching, 1)
+    factors = np.moveaxis(_unused_log_factors(counts == 0), -1, 0)
+    got = _fold_factors(factors, shape.branching, 1)
     full = root_marginal_batch(shape, k, rows)
     np.testing.assert_allclose(got, full, atol=1e-12)
     with pytest.raises(InfeasibleBoundaryError):
@@ -298,8 +307,94 @@ def test_block_fold_near_certain_messages():
     first = delta54_rows()[0]
     unused = np.ones((1, 54 * 54, 3), dtype=bool)
     unused[0, np.arange(54 * 54), first[::54] - 1] = False
-    got = _fold_factors(_unused_log_factors(unused), 54, 2)
+    got = _fold_factors(np.moveaxis(_unused_log_factors(unused), -1, 0), 54, 2)
     np.testing.assert_allclose(got[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the color-major fold against the row-major one
+
+
+def rowmajor_normalized(logw):
+    """Rows of log-weights -> probability rows; all -inf rows are infeasible."""
+    mx = logw.max(axis=-1)
+    if np.isneginf(mx).any():
+        raise InfeasibleBoundaryError("a leaf coloring admits no proper extension")
+    p = np.exp(logw - mx[..., np.newaxis])
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def rowmajor_fold(factors, branching, depth):
+    """Oracle for _fold_factors: the same fold over (batch, width, k)
+    log-factors, with numpy reductions over the trailing color axis and
+    1 - p_c as a product with 1 - I."""
+    others = 1.0 - np.eye(factors.shape[-1])
+    logw = factors.reshape(factors.shape[0], -1, branching, factors.shape[-1]).sum(axis=2)
+    for _ in range(depth - 1):
+        with np.errstate(divide="ignore"):
+            logw = np.log(rowmajor_normalized(logw) @ others)
+        logw = logw.reshape(logw.shape[0], -1, branching, logw.shape[-1]).sum(axis=2)
+    return rowmajor_normalized(logw[:, 0, :])
+
+
+def assert_folds_agree(got, expected, k):
+    # bitwise at k = 3, where each 1 - p_c is one sum of two terms
+    if k == 3:
+        assert np.array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("branching, depth, k", [
+    (2, 8, 3), (3, 4, 3), (20, 2, 3), (2, 6, 4), (3, 3, 5), (2, 4, 8), (9, 2, 8),
+])
+def test_batch_fold_matches_rowmajor_fold(branching, depth, k):
+    shape = TreeShape(branching, depth)
+    rows = sample_leaf_rows(shape, k, 300, RandomSource(depth))
+    rows[np.random.default_rng(k).random(rows.shape) < 0.3] = STAR
+    with np.errstate(divide="ignore"):
+        log_table = np.log1p(-np.vstack([np.full(k, 1.0 / k), np.eye(k)]))
+    expected = rowmajor_fold(log_table[rows], branching, depth)
+    assert_folds_agree(root_marginal_batch(shape, k, rows), expected, k)
+
+
+@pytest.mark.parametrize("branching, k, height, depth, n", [
+    (2, 3, 4, 12, 20), (20, 3, 2, 4, 2), (3, 4, 2, 5, 10), (2, 5, 3, 7, 20), (2, 4, 3, 6, 20),
+])
+def test_table_fold_matches_rowmajor_fold(branching, k, height, depth, n):
+    # the factors of drawn table entries below broadcast colors, gathered both ways
+    gen = np.random.default_rng(depth)
+    table = _message_table(branching, k, height)
+    colors = sample_leaf_rows(TreeShape(branching, depth - height), k, n,
+                              RandomSource(height)).reshape(-1).astype(np.intp)
+    entry = _table_entries(table, gen.random(colors.size))
+    log_factors = table.by_color[:, : table.cdf.size].T
+    rowmajor = log_factors[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
+    colormajor = np.take(table.by_color, (colors - 1) * table.cdf.size + entry, axis=1)
+    got = _fold_factors(colormajor.reshape(k, n, -1), branching, depth - height)
+    expected = rowmajor_fold(rowmajor.reshape(n, -1, k), branching, depth - height)
+    assert_folds_agree(got, expected, k)
+
+
+@pytest.mark.parametrize("branching, k, depth, n", [
+    (20, 3, 3, 2), (6, 5, 3, 10), (20, 8, 3, 2), (3, 8, 4, 10),
+])
+def test_occupancy_fold_matches_rowmajor_fold(branching, k, depth, n):
+    colors = sample_leaf_rows(TreeShape(branching, depth - 1), k, n, RandomSource(k)).reshape(-1)
+    factors = _occupancy_log_factors(colors, k, branching, np.random.default_rng(depth))
+    got = _fold_factors(factors.reshape(k, n, -1), branching, depth - 1)
+    expected = rowmajor_fold(factors.T.reshape(n, -1, k), branching, depth - 1)
+    assert_folds_agree(got, expected, k)
+
+
+def test_fold_checks_every_level():
+    # with k = 2, leaves 1 and 2 leave their parent no color; two
+    # monochrome blocks force the root's children apart and leave the root none
+    shape = TreeShape(2, 2)
+    for row in ([1, 2, 0, 0], [2, 2, 1, 1]):
+        with pytest.raises(InfeasibleBoundaryError):
+            root_marginal_batch(shape, 2, np.array([row], dtype=np.int16))
 
 
 _SMALL_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3),
