@@ -109,7 +109,7 @@ def _read_leaves(path: str, k: int) -> list[int]:
             line = fh.readline()
     except OSError as exc:
         raise ValidationError(f"cannot read leaves file: {exc}") from None
-    return [int(v) for v in PartialLeafColoring.from_text(line, k).values]
+    return PartialLeafColoring.from_text(line, k).values.tolist()
 
 
 def _configs(command: str, merged: dict):

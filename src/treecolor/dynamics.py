@@ -10,10 +10,14 @@ makes every move a whole-tree resample once block_depth reaches the tree
 depth; at block_depth 0 it is plain single-site Glauber.
 
 Every move goes through one in-place kernel that reads and redraws only
-the block and its outside neighbors, so a move costs O(block).  A chain
-runs on one list of colors and validates its coloring once, at exit;
-single moves (`heat_bath_block`, `step`) copy, redraw and validate the
-new state.
+the block and its outside neighbors, so a move costs O(block).  The
+kernel makes one exactly uniform draw per move: it counts the block's
+proper completions and decodes one integer below that count, taken from
+a pre-drawn 64-bit word, top-down into a completion.  A chain draws its
+vertex choices and words in batches, runs on one list of colors, keeps
+the block counts it has computed for the length of the call, and
+validates its coloring once, at exit; single moves (`heat_bath_block`,
+`step`) draw one word, copy, redraw and validate the new state.
 
 On instances small enough to enumerate, the full transition matrix is
 assembled in exact rationals.  The mixing time is certified: float64
@@ -36,12 +40,14 @@ import numpy as np
 from .broadcast_sampler import sample_full
 from .errors import CapacityError, NonErgodicChainError, ValidationError
 from .exact_engine import count_levels
-from .rng import RandomSource, integer_below
+from .rng import RandomSource, word_below
 from .tree_model import FullColoring, TreeShape, is_proper
 
 STATE_GUARD = 10**4
 _MIXING_STATE_GUARD = 400
 _MIXING_STEP_GUARD = 10_000
+_MEMO_CAP = 1 << 15  # count vectors one chain's memo keeps, whatever its length
+_CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ def initial_state(shape: TreeShape, k: int, rng: RandomSource) -> DynamicsState:
 def block_vertices(shape: TreeShape, v: int, block_depth: int) -> list[int]:
     """All descendants of v within distance block_depth, v included."""
     shape._check_vertex(v)
-    return [w for level in _block_levels(shape, v, block_depth) for w in level]
+    return _block(shape, v, block_depth)[0]
 
 
 def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
@@ -86,8 +92,9 @@ def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
     return v
 
 
-def _block_levels(shape: TreeShape, v: int, block_depth: int) -> list[list[int]]:
-    """The block under v level by level, truncated at the leaves."""
+def _block(shape: TreeShape, v: int, block_depth: int) -> tuple[list[int], int, int]:
+    """The block under v, truncated at the leaves: its vertices in level
+    order, how many lie above its frontier (its last level), its height."""
     if block_depth < 0:
         raise ValidationError("block_depth must be >= 0")
     levels = [[v]]
@@ -100,7 +107,14 @@ def _block_levels(shape: TreeShape, v: int, block_depth: int) -> list[list[int]]
         if not nxt:
             break
         levels.append(nxt)
-    return levels
+    vertices = [w for level in levels for w in level]
+    return vertices, len(vertices) - len(levels[-1]), len(levels) - 1
+
+
+def _words(gen: np.random.Generator, size: int | None = None):
+    """Uniform 64-bit words for `word_below`, as Python ints: one word, or
+    a list of `size`."""
+    return gen.integers(0, 2**64, size=size, dtype=np.uint64).tolist()
 
 
 def heat_bath_block(
@@ -108,61 +122,74 @@ def heat_bath_block(
 ) -> DynamicsState:
     """Resample the block under v exactly uniformly given the outside.
 
-    Copies the coloring, redraws the block with `_resample` and returns a
-    new state, validated once as a `FullColoring`; `state` is unchanged.
+    Copies the coloring, redraws the block with `_resample` from one
+    fresh word and returns a new state, validated once as a
+    `FullColoring`; `state` is unchanged.
     """
     shape = state.shape
     shape._check_vertex(v)
     values = state.coloring.values.tolist()
-    _resample(values, shape.branching, state.k, _block_levels(shape, v, block_depth),
-              rng.generator)
+    gen = rng.generator
+    _resample(values, shape.branching, state.k, _block(shape, v, block_depth),
+              _words(gen), gen, {})
     return DynamicsState(shape, state.k, FullColoring(state.k, values), state.time)
 
 
-def _resample(values: list, b: int, k: int, levels: list, gen: np.random.Generator) -> None:
-    """Redraw the block `levels` (from `_block_levels`) of `values` in place.
+def _resample(
+    values: list, b: int, k: int, block: tuple, word: int, gen: np.random.Generator, memo: dict
+) -> None:
+    """Redraw `block` (from `_block`) of `values` in place, exactly uniformly.
 
-    The block is a complete subtree.  `count_levels` counts its proper
-    completions bottom-up, each frontier vertex allowing the colors its
-    children outside the block leave free; colors are then drawn top-down
-    from those big-integer counts, each exactly uniform via integer_below.
-    Only the block and its outside neighbors are read, so a move costs
-    O(block) whatever the size of the tree.
+    The block is a complete subtree; each frontier vertex allows the
+    colors its children outside the block leave free.  `count_levels`
+    counts every block vertex's proper completions by color, bottom-up,
+    and `memo` keeps those counts per tuple of frontier bitmasks of
+    outside colors, up to `_MEMO_CAP` count vectors in all.  A vertex
+    colored c has prod over its children of (T_child - m_child[c])
+    completions, where T_child sums the child's counts, so one r in
+    [0, total) decodes top-down into a completion: r picks the top color
+    by cumulative weight, and the remainder splits mixed-radix with
+    divmod over the children, recursively down to the frontier.  The
+    decoding is a bijection onto the completions, so the redraw is
+    exactly uniform when r is; r comes from the pre-drawn `word` through
+    `word_below`.  Only the block and its outside neighbors are read, so
+    a move costs O(block) whatever the size of the tree.
     """
-    v = levels[0][0]
-    parent_color = values[(v - 1) // b] if v else None
-    if len(levels) == 1:
-        # single-site fast path: avoid any color used by a neighbor; a
-        # leaf's child indices lie past the end, so it has no children
-        forbidden = set(values[v * b + 1 : v * b + b + 1])
-        forbidden.add(parent_color)
-        options = [c for c in range(1, k + 1) if c not in forbidden]
-        values[v] = options[int(gen.integers(0, len(options)))]
-        return
-
-    bottom = []
-    for w in levels[-1]:
-        outside = set(values[w * b + 1 : w * b + b + 1])
-        bottom.append([int(c not in outside) for c in range(1, k + 1)])
-    counts = count_levels(bottom, b, len(levels) - 1)[::-1]  # counts[j][i] for levels[j][i]
-    values[v] = _draw_color(gen, counts[0][0], parent_color)
-    for level, level_counts in zip(levels[1:], counts[1:]):
-        for w, vec in zip(level, level_counts):
-            values[w] = _draw_color(gen, vec, values[(w - 1) // b])
-
-
-def _draw_color(gen: np.random.Generator, counts: list, avoid: int | None) -> int:
-    """Color c+1 with probability proportional to counts[c], never `avoid`.
-
-    The total is positive: the block's current coloring is a completion,
-    and each later draw's parent color was drawn with positive weight.
-    """
-    weights = [0 if c == avoid else w for c, w in enumerate(counts, 1)]
-    r = integer_below(gen, sum(weights))
-    for c, w in enumerate(weights, 1):
-        r -= w
-        if r < 0:
-            return c
+    vertices, inner, height = block
+    masks = []
+    for w in vertices[inner:]:
+        m = 0
+        for c in values[w * b + 1 : w * b + b + 1]:  # empty past the leaves
+            m |= 1 << c
+        masks.append(m)
+    # the tuple's length, b**height, fixes the block's shape
+    key = tuple(masks)
+    table = memo.get(key)
+    if table is None:
+        bottom = [[1 - (m >> c & 1) for c in range(1, k + 1)] for m in masks]
+        counts = [vec for level in reversed(count_levels(bottom, b, height)) for vec in level]
+        table = counts, [sum(vec) for vec in counts]
+        if len(memo) * len(vertices) < _MEMO_CAP:
+            memo[key] = table
+    counts, totals = table
+    # the total is positive: the block's current coloring is a completion
+    v = vertices[0]
+    avoid = values[(v - 1) // b] if v else 0
+    total = totals[0] - counts[0][avoid - 1] if avoid else totals[0]
+    digits = [0] * len(vertices)
+    digits[0] = word_below(gen, word, total)
+    for p, w in enumerate(vertices):
+        r = digits[p]
+        avoid = values[(w - 1) // b] if w else 0
+        for c, weight in enumerate(counts[p], 1):
+            if c != avoid:
+                if r < weight:
+                    break
+                r -= weight
+        values[w] = c
+        if p < inner:
+            for q in range(p * b + 1, p * b + b + 1):
+                r, digits[q] = divmod(r, totals[q] - counts[q][c - 1])
 
 
 def step(state: DynamicsState, block_depth: int, rng: RandomSource) -> DynamicsState:
@@ -185,16 +212,17 @@ def run_chain(
 ) -> DynamicsState:
     """Advance `steps` moves; optionally tally visited colorings by tuple key.
 
-    Same per-step law as step(), but vertex choices are pre-drawn in one
-    batch, so the raw stream consumption differs from looping step().
-    With `thin=m`, only every m-th visited coloring is tallied --
-    consecutive chain states are correlated, so thinned tallies are the
-    ones to feed into independence-assuming test statistics.
+    Same per-step law as step(), but vertex choices and words are
+    pre-drawn in batches of `_CHUNK` moves, so the raw stream consumption
+    differs from looping step().  With `thin=m`, only every m-th visited
+    coloring is tallied -- consecutive chain states are correlated, so
+    thinned tallies are the ones to feed into independence-assuming test
+    statistics.
 
     The chain runs in place on one list of colors, each move redrawing
     only its block, and the final coloring is validated once, as a
     `FullColoring` and for properness, when the chain returns; `state`
-    itself is unchanged.
+    itself is unchanged.  The block-count memo lives for this call only.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -204,16 +232,22 @@ def run_chain(
         return state
     shape, k = state.shape, state.k
     gen = rng.generator
-    choices = gen.integers(0, shape.vertex_count, size=steps)
     roots = [block_root(shape, v, block_depth) for v in range(shape.vertex_count)]
-    blocks = {root: _block_levels(shape, root, block_depth) for root in set(roots)}
+    blocks = {root: _block(shape, root, block_depth) for root in set(roots)}
+    block_of = [blocks[root] for root in roots]
     values = state.coloring.values.tolist()
     b = shape.branching
-    for i, v in enumerate(choices.tolist(), 1):
-        _resample(values, b, k, blocks[roots[v]], gen)
-        if visit_counts is not None and i % thin == 0:
-            key = tuple(values)
-            visit_counts[key] = visit_counts.get(key, 0) + 1
+    memo: dict = {}
+    done = 0
+    while done < steps:
+        size = min(_CHUNK, steps - done)
+        choices = gen.integers(0, shape.vertex_count, size=size).tolist()
+        for v, word in zip(choices, _words(gen, size)):
+            _resample(values, b, k, block_of[v], word, gen, memo)
+            done += 1
+            if visit_counts is not None and done % thin == 0:
+                key = tuple(values)
+                visit_counts[key] = visit_counts.get(key, 0) + 1
     final = DynamicsState(shape, k, FullColoring(k, values), state.time + steps)
     assert is_proper(shape, final.coloring)
     return final

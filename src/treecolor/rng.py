@@ -65,3 +65,20 @@ def integer_below(gen: np.random.Generator, n: int) -> int:
         r >>= chunks * 32 - bits
         if r < n:
             return r
+
+
+_WORDS = 2**64
+
+
+def word_below(gen: np.random.Generator, word: int, n: int) -> int:
+    """Uniform integer in [0, n) from a pre-drawn uniform 64-bit word.
+
+    `word % n` is exactly uniform when the word lies below the largest
+    multiple of n that fits in 64 bits; any other word is discarded for a
+    fresh `integer_below(gen, n)`.  No multiple fits when n > 2**64, so
+    such bounds always take the fresh draw, and the result is exactly
+    uniform for every positive n.
+    """
+    if n > 0 and word < _WORDS - _WORDS % n:
+        return word % n
+    return integer_below(gen, n)

@@ -32,7 +32,7 @@ from treecolor.broadcast_sampler import (
     sample_from_rows,
 )
 from treecolor.couplings import estimate_alpha
-from treecolor.rng import integer_below
+from treecolor.rng import integer_below, word_below
 from treecolor.exact_engine import (
     _color_swaps,
     _fold_factors,
@@ -89,6 +89,42 @@ def test_integer_below():
     assert any(d > big_bound // 3 for d in draws)
     with pytest.raises(ValidationError):
         integer_below(gen, 0)
+
+
+class StubGenerator:
+    """Records each `integers` call; answers high - 1, or zeros for a batch."""
+
+    def __init__(self):
+        self.calls = []
+
+    def integers(self, low, high, size=None, dtype=None):
+        self.calls.append((low, high, size))
+        return high - 1 if size is None else np.zeros(size, dtype=np.uint64)
+
+
+def test_word_below_takes_words_under_the_largest_multiple():
+    limit = 2**64 - 2**64 % 10  # the largest multiple of 10 in 64 bits
+    gen = StubGenerator()
+    for word in (0, 12345, limit - 1):
+        assert word_below(gen, word, 10) == word % 10
+    assert word_below(gen, 2**64 - 1, 1) == 0
+    assert word_below(gen, 2**64 - 1, 2**64) == 2**64 - 1
+    assert gen.calls == []
+
+
+def test_word_below_falls_back_to_a_fresh_draw():
+    limit = 2**64 - 2**64 % 10
+    gen = StubGenerator()
+    for word in (limit, 2**64 - 1):  # word % 10 would be 0 and 5
+        assert word_below(gen, word, 10) == 9
+    assert gen.calls == [(0, 10, None), (0, 10, None)]
+    # no multiple of a bound above 2**64 fits in a word
+    for n in (2**64 + 1, 3**200):
+        gen = StubGenerator()
+        assert word_below(gen, 5, n) == 0
+        assert gen.calls
+    with pytest.raises(ValidationError):
+        word_below(StubGenerator(), 3, 0)
 
 
 # ---------------------------------------------------------------------------

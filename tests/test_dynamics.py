@@ -135,6 +135,59 @@ def test_block_update_is_uniform_over_proper_completions():
     assert chi2_pvalue(counts, np.full(8, 1 / 8)) > CHI2_P_FLOOR
 
 
+EXHAUSTIVE_DECODE = 20_000  # larger blocks decode a sample of words
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k", [(2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 3, 3), (2, 4, 3), (3, 3, 4)]
+)
+def test_block_decode_is_a_bijection_onto_completions(branching, depth, k):
+    # a word r below the block's completion count decodes as r itself, so
+    # decoding r = 0 .. count - 1 must list every proper completion exactly
+    # once, and r = count must wrap around to r = 0
+    shape = TreeShape(branching, depth)
+    sampler = np.random.default_rng(900)
+    for seed in (901, 902, 903):
+        start = initial_state(shape, k, RandomSource(seed)).coloring.values.tolist()
+        for block_depth in (1, 2):
+            # every vertex as block root: the root block and blocks
+            # truncated at the leaves included
+            for root in range(shape.vertex_count):
+                block = dynamics._block(shape, root, block_depth)
+                vertices = block[0]
+                inside = set(vertices)
+                outside = [w for w in range(shape.vertex_count) if w not in inside]
+                completions = None
+                if shape.is_leaf(vertices[-1]):
+                    # nothing below the block: each vertex avoids its parent
+                    # only, so proper colorings factor along the edges
+                    count = (k if root == 0 else k - 1) * (k - 1) ** (len(vertices) - 1)
+                    if count <= EXHAUSTIVE_DECODE:
+                        completions = dynamics._block_completions(shape, k, vertices, start)
+                        assert len(completions) == count
+                else:
+                    completions = dynamics._block_completions(shape, k, vertices, start)
+                    count = len(completions)
+                    assert count <= EXHAUSTIVE_DECODE
+                if completions is None:  # the 3**13 blocks of (3, 3, 4) at block depth 2
+                    words = sorted({0, count - 1, *sampler.integers(0, count, size=2000).tolist()})
+                else:
+                    words = range(count)
+                memo: dict = {}
+                decoded = []
+                for r in [*words, count]:
+                    values = list(start)
+                    dynamics._resample(values, branching, k, block, r, None, memo)
+                    assert [values[w] for w in outside] == [start[w] for w in outside]
+                    decoded.append(tuple(values[w] for w in vertices))
+                    if completions is None:
+                        assert is_proper(shape, FullColoring(k, np.array(values, dtype=np.int16)))
+                assert decoded.pop() == decoded[0]
+                assert len(set(decoded)) == len(decoded)
+                if completions is not None:
+                    assert sorted(decoded) == sorted(completions)
+
+
 def test_one_step_law_matches_matrix_row():
     for shape, k, block_depth, start in [
         (TreeShape(2, 1), 3, 0, (1, 2, 2)),
@@ -204,36 +257,41 @@ def striped_state(shape: TreeShape, k: int) -> DynamicsState:
     return proper_state(shape, k, values)
 
 
-# Final colorings of run_chain, as digit strings in level order, recorded
-# from the per-move implementation that copied and re-validated the whole
-# coloring on every move.  The in-place chain must make the same draws in
-# the same order, so these stay fixed for these seeds.
+# Final colorings of run_chain, as digit strings in level order.  They pin
+# the one-word stream: per batch of moves, the chain draws every vertex
+# choice, then one uniform 64-bit word per move, and each move decodes its
+# word into one proper completion of its block.  Any change to what is
+# drawn, in what order, or how a word is decoded changes these strings.
 PINNED_CHAINS = [
     ((2, 8, 3), 0, 3000, 801, (
-        "1223333111111112222222222222222333333333333333333333333333333331"
-        "1111111111111111111111111111111111111112111111111111121111111112"
-        "2323333222322222322222223222233222223222222232222222222223322223"
-        "2222233232332223322233222322232322232323222313322222223232223231"
-        "3111111211121121131312131113333332233313131313113213131333311111"
-        "1133113331133311311111131221133133111313313133331312121133111312"
-        "1331131311322113112112111111331121111331122123331311133131311111"
-        "231131311111131111111331122112111311333311311111112133133123322"
+        "3213332111111112222222222222222333333333333333333333333333333331"
+        "1111111111111111111111111111111111111111111111111111111111111112"
+        "2222222222222222222222233222222222222233222232232222222232322322"
+        "3222222232222322222222322232222232232222222222322223323222222221"
+        "1331311111333313331331313133111313131131333331111221133111311131"
+        "3311313333331221113113333223311111333133131133313213122311322311"
+        "1223331331311133121313313331213313131313113311113311111333333331"
+        "321133122311111331331131133132113113131112213111131131331113133"
     )),
     ((2, 8, 3), 2, 600, 802, (
-        "1223111222322321331331233131233221211332211233312113222321312211"
-        "1332231332312111313323211212221331332332231133321112222233133333"
-        "3332121111321332222331222132232331123222131111123331322311111322"
-        "2123322213322123311222322211122313222333111333333121133112111121"
-        "1122122133233222332231233332222313111311121323313113322131111311"
-        "2112233312231133323212323233223332122213322113122222223323211333"
-        "3113231112233113332221113333211111133333111111211333332232231111"
-        "222223313332121212323222211121111123213232211212333132333322313"
+        "2332221111111323233222322232211211312113113112213333122131322323"
+        "3332322333323231232221222233133222221121133113323222312333111312"
+        "1112112131111131212211213123111333122131331321331333112222311113"
+        "1133131112322112323112122222222132211333122321312221133333212333"
+        "1232223313322132321222233223322333132333332333322212231223333221"
+        "2212233331133123321122212312221123222221223223331311112222223221"
+        "1223212112321232332131211132323132211213232333231313313111311333"
+        "322111332331212222231311131232123113131233222121212123122331122"
     )),
-    ((3, 3, 4), 1, 1000, 803, "2111444423233232113222223111412414141112"),
+    ((3, 3, 4), 1, 1000, 803, "2411133444333334414211313212222441124221"),
 ]
 
 
-@pytest.mark.parametrize("dims, block_depth, steps, seed, final", PINNED_CHAINS)
+@pytest.mark.parametrize(
+    "dims, block_depth, steps, seed, final",
+    PINNED_CHAINS,
+    ids=[f"delta{d[0]}-depth{d[1]}-k{d[2]}-block{bd}" for d, bd, *_ in PINNED_CHAINS],
+)
 def test_run_chain_draw_stream_is_pinned(dims, block_depth, steps, seed, final):
     branching, depth, k = dims
     start = striped_state(TreeShape(branching, depth), k)
@@ -250,9 +308,9 @@ def test_thinned_tallies_are_pinned_and_inputs_untouched():
     out = run_chain(start, 0, 2400, RandomSource(804), visit_counts=visits, thin=50)
     assert out.time == 2400
     assert visits == {
-        (1, 2, 2): 2, (1, 2, 3): 5, (1, 3, 2): 4, (1, 3, 3): 4,
-        (2, 1, 1): 4, (2, 1, 3): 2, (2, 3, 1): 1, (2, 3, 3): 3,
-        (3, 1, 1): 5, (3, 1, 2): 3, (3, 2, 1): 7, (3, 2, 2): 8,
+        (1, 2, 2): 4, (1, 2, 3): 5, (1, 3, 2): 1, (1, 3, 3): 3,
+        (2, 1, 1): 6, (2, 3, 1): 8, (2, 3, 3): 3,
+        (3, 1, 1): 2, (3, 1, 2): 7, (3, 2, 1): 3, (3, 2, 2): 6,
     }
     assert all(type(c) is int for key in visits for c in key)
     # the single-move wrappers leave their input state untouched too
@@ -264,6 +322,41 @@ def test_thinned_tallies_are_pinned_and_inputs_untouched():
         step(state, block_depth, rng)
     assert np.array_equal(state.coloring.values, before)
     assert state.time == 0
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its `integers` calls."""
+
+    def __init__(self, seed: int):
+        self._gen = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._gen.integers(*args, **kwargs)
+
+
+class CountingSource:
+    """What the chain reads of a RandomSource: its generator."""
+
+    def __init__(self, seed: int):
+        self.generator = CountingGenerator(seed)
+
+
+def test_chain_draws_in_batches_not_per_move():
+    start = striped_state(TreeShape(2, 4), 3)
+    for steps in (1000, 3000):
+        source = CountingSource(806)
+        out = run_chain(start, 2, steps, source)
+        assert out.time == steps
+        assert source.generator.calls == 2  # the vertex choices, then the words
+    # a single move draws its vertex and one word
+    source = CountingSource(807)
+    step(start, 2, source)
+    assert source.generator.calls == 2
+    source = CountingSource(808)
+    heat_bath_block(start, 1, 2, source)
+    assert source.generator.calls == 1
 
 
 def test_run_chain_thinning_tallies():
