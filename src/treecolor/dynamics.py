@@ -19,14 +19,17 @@ the block counts it has computed for the length of the call, and
 validates its coloring once, at exit; single moves (`heat_bath_block`,
 `step`) draw one word, copy, redraw and validate the new state.
 
-On instances small enough to enumerate, the full transition matrix is
-assembled in exact rationals.  The mixing time is certified: float64
-powers of the kernel decide the 1/(2e) threshold test at step t whenever
-the computed worst-start TV is farther from it than the proven rounding
-bound 4(t+1)(n+2)2^-53 for n states, and a step closer than that falls
-back to exact integer matrix powers, so the reported t is always exact.
-Entropy functionals over the state space support the local-vs-global
-entropy comparison on the same tiny instances.
+On instances small enough to enumerate, the states are split once per
+block root by their colors outside the block (`_outside_groups`).  A
+move on that block lands uniformly on the current state's group, so the
+exact transition matrix is assembled in rationals from these groups, and
+the entropy functionals for the local-vs-global entropy comparison read
+the same groups: one block decomposition for every exact diagnostic.
+The mixing time is certified: float64 powers of the kernel decide the
+1/(2e) threshold test at step t whenever the computed worst-start TV is
+farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
+states, and a step closer than that falls back to exact integer matrix
+powers, so the reported t is always exact.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -316,74 +320,38 @@ class TransitionMatrix:
         return dense
 
 
-def _block_completions(shape, k, block, values) -> list[tuple]:
-    """All proper colorings of `block` consistent with the frozen outside."""
-    block_set = set(block)
-    b = shape.branching
-    completions = []
-    scratch = list(values)
-
-    def neighbors_ok(w: int, c: int) -> bool:
-        # parents inside the block were assigned already; outside ones are frozen
-        if w and scratch[(w - 1) // b] == c:
-            return False
-        if not shape.is_leaf(w):
-            for child in range(w * b + 1, w * b + b + 1):
-                if child not in block_set and scratch[child] == c:
-                    return False
-        return True
-
-    def extend(i: int):
-        if i == len(block):
-            completions.append(tuple(scratch[w] for w in block))
-            return
-        w = block[i]
-        for c in range(1, k + 1):
-            if neighbors_ok(w, c):
-                scratch[w] = c
-                extend(i + 1)
-        scratch[w] = values[w]
-
-    extend(0)
-    return completions
-
-
 def build_transition_matrix(
     shape: TreeShape, k: int, block_depth: int
 ) -> TransitionMatrix:
     """P = (1/N) * sum over v of the heat-bath kernel on the block that a
     move choosing v updates (the block rooted at v's block_depth-th
-    ancestor), matching step() exactly."""
-    states = enumerate_states(shape, k)
-    index = {s: i for i, s in enumerate(states)}
+    ancestor), matching step() exactly.
+
+    A move on the block under r from state x lands uniformly on the
+    states that agree with x outside the block: x's group in
+    `_outside_groups`.  So a block root r that m_r of the N vertices
+    select adds m_r / (N |G|) to every entry of G x G, for each of its
+    groups G.  Roots are taken in increasing order and each group's
+    states in enumeration order, so every row lists its columns in the
+    order a per-state scan of the block's completions would.
+    """
+    states, groups, root_of = _outside_groups(shape, k, block_depth)
     n_vertices = shape.vertex_count
-    multiplicity: dict[int, int] = {}
-    for v in range(n_vertices):
-        root = block_root(shape, v, block_depth)
-        multiplicity[root] = multiplicity.get(root, 0) + 1
-    blocks = [
-        (block_vertices(shape, root, block_depth), count)
-        for root, count in sorted(multiplicity.items())
-    ]
     rows = [dict() for _ in states]
-    for i, x in enumerate(states):
-        row = rows[i]
-        for block, count in blocks:
-            completions = _block_completions(shape, k, block, x)
-            weight = Fraction(count, n_vertices * len(completions))
-            y = list(x)
-            for completion in completions:
-                for w, c in zip(block, completion):
-                    y[w] = c
-                j = index[tuple(y)]
-                row[j] = row.get(j, Fraction(0)) + weight
-            for w in block:
-                y[w] = x[w]
+    for root in sorted(groups):
+        count = root_of.count(root)
+        for group in groups[root]:
+            weight = Fraction(count, n_vertices * len(group))
+            members = group.tolist()
+            for i in members:
+                row = rows[i]
+                for j in members:
+                    row[j] = row[j] + weight if j in row else weight
     return TransitionMatrix(
         shape=shape,
         k=k,
         block_depth=block_depth,
-        states=tuple(states),
+        states=states,
         rows=tuple(rows),
     )
 
@@ -546,9 +514,16 @@ def entropy_functional(f) -> float:
         raise ValidationError("f must be a nonempty vector")
     if (arr < 0).any():
         raise ValidationError("f must be nonnegative")
+    if arr.mean() == 0:
+        raise ValidationError("f must not be identically zero")
+    return _entropy(arr)
+
+
+def _entropy(arr: np.ndarray) -> float:
+    """E[f ln f] - E f ln E f for a nonnegative float vector; 0 if E f = 0."""
     mean = arr.mean()
     if mean == 0:
-        raise ValidationError("f must not be identically zero")
+        return 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         flnf = np.where(arr > 0, arr * np.log(arr), 0.0)
     return float(flnf.mean() - mean * math.log(mean))
@@ -556,49 +531,47 @@ def entropy_functional(f) -> float:
 
 @lru_cache(maxsize=8)  # an entry holds every state of its instance
 def _outside_groups(shape: TreeShape, k: int, block_depth: int):
-    """For each vertex: state indices grouped by their outside-block colors.
+    """The enumerated states, grouped per block root by their colors
+    outside the block, and the block root of each vertex.
 
-    The block attributed to v is the one a move choosing v updates -- the
-    depth-block_depth subtree under v's block_depth-th ancestor -- so the
-    entropy functionals decompose the same kernel the chain runs.  Cached,
-    so each group is a read-only index array and every container a tuple.
+    A move choosing v updates the depth-block_depth subtree under
+    root_of[v], v's block_depth-th ancestor, and lands uniformly on the
+    group of the current state in groups[root_of[v]].  The transition
+    matrix and the entropy functionals both read this one decomposition.
+    Cached, so each group is a read-only index array, in enumeration
+    order, and every container is a tuple or a read-only mapping.
     """
     states = tuple(enumerate_states(shape, k))
-    by_root: dict[int, tuple] = {}
-    all_groups = []
-    for v in range(shape.vertex_count):
-        root = block_root(shape, v, block_depth)
-        if root not in by_root:
-            inside = set(block_vertices(shape, root, block_depth))
-            outside = [w for w in range(shape.vertex_count) if w not in inside]
-            groups: dict[tuple, list[int]] = {}
-            for i, s in enumerate(states):
-                key = tuple(s[w] for w in outside)
-                groups.setdefault(key, []).append(i)
-            members = tuple(np.array(group) for group in groups.values())
-            for index in members:
-                index.setflags(write=False)
-            by_root[root] = members
-        all_groups.append(by_root[root])
-    return states, tuple(all_groups)
+    root_of = tuple(block_root(shape, v, block_depth) for v in range(shape.vertex_count))
+    groups: dict[int, tuple] = {}
+    for root in root_of:
+        if root in groups:
+            continue
+        inside = set(block_vertices(shape, root, block_depth))
+        outside = [w for w in range(shape.vertex_count) if w not in inside]
+        by_outside: dict[tuple, list[int]] = {}
+        for i, s in enumerate(states):
+            by_outside.setdefault(tuple(s[w] for w in outside), []).append(i)
+        members = tuple(np.array(group) for group in by_outside.values())
+        for index in members:
+            index.setflags(write=False)
+        groups[root] = members
+    return states, MappingProxyType(groups), root_of
+
+
+def _vertex_groups(f, shape: TreeShape, k: int, block_depth: int, v: int):
+    """f as a float vector over the states, checked, and v's groups."""
+    arr = np.asarray(f, dtype=float)
+    states, groups, root_of = _outside_groups(shape, k, block_depth)
+    if arr.shape != (len(states),):
+        raise ValidationError("f must have one entry per enumerated state")
+    return arr, groups[root_of[v]]
 
 
 def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:
     """E[Ent(f | colors outside the block a move at v updates)], uniform E."""
-    arr = np.asarray(f, dtype=float)
-    states, all_groups = _outside_groups(shape, k, block_depth)
-    if arr.shape != (len(states),):
-        raise ValidationError("f must have one entry per enumerated state")
-    total = 0.0
-    for members in all_groups[v]:
-        sub = arr[members]
-        mean = sub.mean()
-        if mean == 0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            flnf = np.where(sub > 0, sub * np.log(sub), 0.0)
-        total += (len(members) / len(states)) * (flnf.mean() - mean * math.log(mean))
-    return total
+    arr, members_of = _vertex_groups(f, shape, k, block_depth, v)
+    return sum((len(members) / len(arr) * _entropy(arr[members]) for members in members_of), 0.0)
 
 
 def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
@@ -611,12 +584,9 @@ def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
 
 def block_projection(f, shape: TreeShape, k: int, block_depth: int, v: int) -> np.ndarray:
     """The heat-bath kernel a move at v applies: conditional mean given the outside."""
-    arr = np.asarray(f, dtype=float)
-    states, all_groups = _outside_groups(shape, k, block_depth)
-    if arr.shape != (len(states),):
-        raise ValidationError("f must have one entry per enumerated state")
+    arr, members_of = _vertex_groups(f, shape, k, block_depth, v)
     out = np.empty_like(arr)
-    for members in all_groups[v]:
+    for members in members_of:
         out[members] = arr[members].mean()
     return out
 
@@ -637,7 +607,7 @@ def entropy_ratio_report(
     random log-normal test functions.  Diagnostic only."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    states, _ = _outside_groups(shape, k, block_depth)
+    states = _outside_groups(shape, k, block_depth)[0]
     gen = rng.generator
     worst = math.inf
     for _ in range(trials):

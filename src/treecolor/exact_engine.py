@@ -382,7 +382,6 @@ def vertex_conditional_marginal(
     u: int,
     removed_child: int | None = None,
     parent_color: int | None = None,
-    backend: str = "rational",
 ) -> ColorDistribution:
     """Exact color law at vertex u after deleting one child's subtree.
 
@@ -394,8 +393,6 @@ def vertex_conditional_marginal(
     check_leaf_coloring(shape, coloring)
     _check_colors_match(k, coloring)
     shape._check_vertex(u)
-    if backend not in ("rational", "float"):
-        raise ValidationError(f"unknown backend {backend!r}")
     b = shape.branching
     kids = [] if shape.is_leaf(u) else list(range(u * b + 1, u * b + b + 1))
     if removed_child is not None and removed_child not in kids:
@@ -423,10 +420,7 @@ def vertex_conditional_marginal(
     total = sum(weights)
     if total == 0:
         raise InfeasibleBoundaryError("pruned instance admits no proper coloring")
-    probs = tuple(Fraction(w, total) for w in weights)
-    if backend == "float":
-        return ColorDistribution(k, tuple(float(p) for p in probs), "float")
-    return ColorDistribution(k, probs, "rational")
+    return ColorDistribution(k, tuple(Fraction(w, total) for w in weights), "rational")
 
 
 def _downward_counts(shape, k, u, subtree_counts) -> list:
@@ -453,12 +447,9 @@ def tv_root(
     k: int,
     first: PartialLeafColoring,
     second: PartialLeafColoring,
-    backend: str = "rational",
 ):
-    """Total-variation distance between the two root laws."""
-    d1 = root_marginal(shape, k, first, backend=backend)
-    d2 = root_marginal(shape, k, second, backend=backend)
-    return tv_distance(d1, d2)
+    """Exact total-variation distance between the two root laws."""
+    return tv_distance(root_marginal(shape, k, first), root_marginal(shape, k, second))
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _shape_from(params: dict, depth_key: str = "depth") -> tuple[TreeShape, int]
 def _run_marginal(config: ExperimentConfig):
     shape, k = _shape_from(config.params)
     (leaves,) = _require(config.params, "leaves")
-    coloring = PartialLeafColoring(k, np.asarray(leaves, dtype=np.int16))
+    coloring = PartialLeafColoring(k, leaves)
     backend = "rational" if config.params.get("exact") else "float"
     dist = root_marginal(
         shape, k, coloring,

@@ -90,15 +90,24 @@ def children(shape: TreeShape, v: int) -> list[int]:
 
 
 def _as_color_array(values, k: int, *, allow_star: bool) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int16)
+    """`values` as a read-only int16 vector, checked before it is narrowed.
+
+    Entries must be integers in [lo, k] (lo = 0 with stars, else 1), and at
+    most the int16 maximum, so the cast never wraps or truncates.
+    """
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError("coloring values must be one-dimensional")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"coloring entries must be integers, got dtype {arr.dtype}")
     lo = STAR if allow_star else 1
-    if arr.size and (arr.min() < lo or arr.max() > k):
+    hi = min(k, np.iinfo(np.int16).max)
+    if arr.size and (arr.min() < lo or arr.max() > hi):
         raise ValidationError(
-            f"coloring entries must lie in [{lo}, {k}]"
+            f"coloring entries must lie in [{lo}, {hi}]"
             + (" (0 marks an unconstrained leaf)" if allow_star else "")
         )
+    arr = arr.astype(np.int16, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -132,14 +141,23 @@ class PartialLeafColoring:
 
     @classmethod
     def from_text(cls, line: str, k: int) -> "PartialLeafColoring":
-        parts = [p.strip() for p in line.strip().split(",") if p.strip() != ""]
-        if not parts:
+        """Parse one comma-separated line of leaf colors.
+
+        Whitespace around an entry is ignored and empty entries are
+        skipped; every other entry must be a base-10 integer, parsed in one
+        numpy conversion to int64 and then checked by the class, so a bad
+        or out-of-range entry raises ValidationError wherever it sits.
+        """
+        if ",," in "," + "".join(line.split()) + ",":  # an empty entry somewhere
+            line = ",".join(p for p in line.split(",") if p.strip())
+        line = line.strip()
+        if not line:
             raise ValidationError("empty leaf-coloring line")
         try:
-            vals = [int(p) for p in parts]
+            vals = np.loadtxt([line], dtype=np.int64, delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ValidationError(f"bad leaf-coloring entry: {exc}") from None
-        return cls(k, np.array(vals, dtype=np.int16))
+        return cls(k, vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,6 +135,39 @@ def test_block_update_is_uniform_over_proper_completions():
     assert chi2_pvalue(counts, np.full(8, 1 / 8)) > CHI2_P_FLOOR
 
 
+def block_completions(shape: TreeShape, k: int, block: list, values) -> list[tuple]:
+    """Oracle: every proper coloring of `block` consistent with the frozen
+    outside, by depth-first search, in lexicographic order."""
+    block_set = set(block)
+    b = shape.branching
+    completions = []
+    scratch = list(values)
+
+    def neighbors_ok(w: int, c: int) -> bool:
+        # parents inside the block were assigned already; outside ones are frozen
+        if w and scratch[(w - 1) // b] == c:
+            return False
+        if not shape.is_leaf(w):
+            for child in range(w * b + 1, w * b + b + 1):
+                if child not in block_set and scratch[child] == c:
+                    return False
+        return True
+
+    def extend(i: int):
+        if i == len(block):
+            completions.append(tuple(scratch[w] for w in block))
+            return
+        w = block[i]
+        for c in range(1, k + 1):
+            if neighbors_ok(w, c):
+                scratch[w] = c
+                extend(i + 1)
+        scratch[w] = values[w]
+
+    extend(0)
+    return completions
+
+
 EXHAUSTIVE_DECODE = 20_000  # larger blocks decode a sample of words
 
 
@@ -163,10 +196,10 @@ def test_block_decode_is_a_bijection_onto_completions(branching, depth, k):
                     # only, so proper colorings factor along the edges
                     count = (k if root == 0 else k - 1) * (k - 1) ** (len(vertices) - 1)
                     if count <= EXHAUSTIVE_DECODE:
-                        completions = dynamics._block_completions(shape, k, vertices, start)
+                        completions = block_completions(shape, k, vertices, start)
                         assert len(completions) == count
                 else:
-                    completions = dynamics._block_completions(shape, k, vertices, start)
+                    completions = block_completions(shape, k, vertices, start)
                     count = len(completions)
                     assert count <= EXHAUSTIVE_DECODE
                 if completions is None:  # the 3**13 blocks of (3, 3, 4) at block depth 2
@@ -420,6 +453,58 @@ def test_transition_matrix_rows_are_distributions_and_symmetric():
         assert matrix.entry(0, 0) >= Fraction(1, matrix.size)
 
 
+def oracle_transition_rows(shape: TreeShape, k: int, block_depth: int) -> list[dict]:
+    """Oracle: each state's row from a search over its blocks' completions,
+    block roots in increasing order, completions in search order."""
+    states = enumerate_states(shape, k)
+    index = {s: i for i, s in enumerate(states)}
+    n_vertices = shape.vertex_count
+    multiplicity: dict[int, int] = {}
+    for v in range(n_vertices):
+        root = block_root(shape, v, block_depth)
+        multiplicity[root] = multiplicity.get(root, 0) + 1
+    rows = []
+    for x in states:
+        row: dict = {}
+        for root, count in sorted(multiplicity.items()):
+            block = block_vertices(shape, root, block_depth)
+            completions = block_completions(shape, k, block, x)
+            weight = Fraction(count, n_vertices * len(completions))
+            y = list(x)
+            for completion in completions:
+                for w, c in zip(block, completion):
+                    y[w] = c
+                j = index[tuple(y)]
+                row[j] = row.get(j, Fraction(0)) + weight
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth",
+    [
+        (2, 1, 3, 0),
+        (2, 1, 3, 1),
+        (2, 1, 4, 5),  # block_depth beyond the tree depth
+        (2, 2, 3, 0),
+        (2, 2, 3, 1),  # blocks truncated at the leaves, and the root block
+        (2, 2, 3, 2),
+        (3, 1, 4, 0),
+    ],
+)
+def test_matrix_from_groups_matches_completion_search(branching, depth, k, block_depth):
+    # same Fractions, and each row lists its columns in the same order, so
+    # every consumer that walks the rows (the CSV dump included) is unchanged
+    shape = TreeShape(branching, depth)
+    matrix = build_transition_matrix(shape, k, block_depth)
+    expected = oracle_transition_rows(shape, k, block_depth)
+    assert matrix.states == tuple(enumerate_states(shape, k))
+    assert len(matrix.rows) == len(expected)
+    for got, want in zip(matrix.rows, expected):
+        assert list(got.items()) == list(want.items())
+        assert all(type(j) is int and type(val) is Fraction for j, val in got.items())
+
+
 def test_full_depth_matrix_rows_are_exactly_uniform():
     for shape, k, block_depth in [
         (TreeShape(2, 1), 3, 5),
@@ -450,6 +535,25 @@ def test_uniform_stationarity_and_frozen_gaps():
         assert info["is_uniform_stationary"]
         assert info["spectral_gap"] == pytest.approx(gap, rel=1e-7)
         assert is_ergodic(matrix)
+
+
+@pytest.mark.parametrize("block_depth", [0, 1])
+def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
+    # the >4000-state branch of stationary_and_gap, run on a 192-state kernel
+    dense = build_transition_matrix(TreeShape(2, 2), 3, block_depth).to_dense()
+    eigs = np.linalg.eigvalsh(dense)
+    lam2 = float(eigs[-2])
+    got = dynamics._second_eigenvalue_power(dense)
+    # The iteration stops once the Rayleigh quotient of (I+P)/2 moves by
+    # less than 1e-10 in a step.  Its error then shrinks by about rho**2
+    # per step, rho the ratio of the next distinct eigenvalue of (I+P)/2 to
+    # the second, so it is near 1e-10 / (1 - rho**2), doubled back on P's
+    # scale; allow four times that.  The quotient of the symmetric kernel
+    # approaches lambda_2 from below.
+    third = float(eigs[eigs < lam2 - 1e-9][-1])
+    rho = (1 + third) / (1 + lam2)
+    assert got == pytest.approx(lam2, abs=4 * 2 * 1e-10 / (1 - rho**2))
+    assert got <= lam2 + 1e-12
 
 
 def test_exact_mixing_times():

@@ -504,6 +504,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--leaves", str(leaves), "--format", "xml",
     )
     assert code == 2
+    # 2: a leaf entry outside int16, once an OverflowError traceback (exit 1)
+    big = tmp_path / "big.txt"
+    big.write_text("65537,2\n")
+    code, _, err = run_cli(
+        capsys, "marginal", "--delta", "2", "--k", "3", "--depth", "1",
+        "--leaves", str(big),
+    )
+    assert code == 2 and "error:" in err
     # 3: state space too large for exact dynamics
     code, _, err = run_cli(
         capsys, "dynamics", "--delta", "2", "--k", "3", "--n", "3",

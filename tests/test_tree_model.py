@@ -135,6 +135,28 @@ def test_coloring_validation():
     assert list(x.star_positions()) == [1]
 
 
+@pytest.mark.parametrize("cls", [PartialLeafColoring, FullColoring])
+def test_coloring_checks_entries_before_narrowing(cls):
+    # 65537 = 2**16 + 1 would wrap to color 1 in int16, and 1.7 and 2.2
+    # would truncate to colors 1 and 2: both must be refused, not cast
+    with pytest.raises(ValidationError, match=r"lie in"):
+        cls(3, np.array([65537, 2]))
+    with pytest.raises(ValidationError, match=r"lie in"):
+        cls(3, [2, 32768])
+    with pytest.raises(ValidationError, match=r"integers"):
+        cls(3, np.array([1.7, 2.2]))
+    with pytest.raises(ValidationError, match=r"integers"):
+        cls(3, [1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"integers"):
+        cls(3, np.array([True, False]))
+    # any integer dtype is accepted and stored as read-only int16
+    for values in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.int64)):
+        coloring = cls(3, values)
+        assert coloring.values.dtype == np.int16
+        assert list(coloring.values) == [1, 2]
+        assert not coloring.values.flags.writeable
+
+
 def test_coloring_equality():
     assert leaves(3, 1, 2) == leaves(3, 1, 2)
     assert leaves(3, 1, 2) != leaves(3, 2, 1)
@@ -153,6 +175,21 @@ def test_text_round_trip():
         PartialLeafColoring.from_text("1,x", k=3)
     with pytest.raises(ValidationError):
         PartialLeafColoring.from_text("1,7", k=3)
+
+
+def test_text_parse_skips_empty_entries_and_rejects_bad_ones():
+    # whitespace around entries and empty entries are skipped
+    for line in ["1,,2", " , 1 , , 2 ,\n", ",1,2", "1,2,", "1\t,\t2\r\n"]:
+        assert list(PartialLeafColoring.from_text(line, k=3).values) == [1, 2], line
+    # every other malformed entry raises, wherever it sits in the line
+    for line in [",", " ,\n", "1,2#3", "1 2,3", "1,1.0", "1,x", "x,1", "1,65537",
+                 "1,32768", "1,-1", "99999999999999999999,1", "1,,1e3"]:
+        with pytest.raises(ValidationError):
+            PartialLeafColoring.from_text(line, k=3)
+    # a long line parses to the same colors it was written from
+    row = np.random.default_rng(31).integers(0, 4, size=5000).astype(np.int16)
+    parsed = PartialLeafColoring.from_text(PartialLeafColoring(3, row).to_text(), k=3)
+    assert np.array_equal(parsed.values, row)
 
 
 def test_check_leaf_coloring_size():
