@@ -5,7 +5,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .broadcast_sampler import (
-    sample_block_counts,
     sample_down_up,
     sample_full,
     sample_leaf_rows,
@@ -89,8 +88,7 @@ from .unbiasing import (
 )
 
 __all__ = [
-    "sample_block_counts", "sample_down_up", "sample_full", "sample_leaf_rows",
-    "sample_leaves_given_root",
+    "sample_down_up", "sample_full", "sample_leaf_rows", "sample_leaves_given_root",
     "BetaTvReport", "CouplingPair", "channel_tv_bound", "check_concentration_reduction",
     "concentration_tail", "coupled_leaf_rows", "disagreement_counts", "downward_couple",
     "estimate_alpha", "estimate_beta_tv", "estimate_hamming", "hamming_tail",

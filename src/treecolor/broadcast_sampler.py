@@ -6,8 +6,8 @@ colorings of the tree, so "broadcast" samples double as Gibbs samples.
 Levels are generated as whole numpy arrays; the only per-vertex state
 that ever exists is the level currently being produced.
 
-`sample_block_counts` stops one level above the leaves and draws, for
-each bottom block, only the set of colors its leaves leave unused.  The
+The posteriors below see a bottom block only through the set of colors
+its leaves leave unused, and that set is drawn without the leaves.  The
 block's Delta leaves are Delta balls thrown uniformly into the k-1 colors
 other than the parent's, so the number of those colors left empty follows
 the occupancy law, and given that number the empty colors are a uniform
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleBoundaryError, ValidationError
+from .errors import ValidationError
 from .exact_engine import (
     _MessageTable,
     _color_swaps,
@@ -113,23 +113,6 @@ def sample_leaf_rows(
     return _level_at(k, shape.branching, shape.depth, n, rng.generator, root_colors)
 
 
-def sample_block_counts(
-    shape: TreeShape, k: int, n: int, rng: RandomSource, root_colors=None
-) -> np.ndarray:
-    """(n, blocks, k) bool: True where a bottom block leaves color c unused.
-
-    Distributed exactly as `counts == 0` for the per-color leaf counts of
-    `sample_leaf_rows`, block by block, without generating the leaves.
-    """
-    _check_k(k)
-    if shape.depth < 1:
-        raise ValidationError("block counts need a tree of depth >= 1")
-    gen = rng.generator
-    level = _level_at(k, shape.branching, shape.depth - 1, n, gen, root_colors)
-    unused = _unused_colors(level.reshape(-1), k, shape.branching, gen)
-    return unused.reshape(level.shape + (k,))
-
-
 def _unused_slots(branching: int, k: int, size, gen) -> np.ndarray:
     """Independent draws of u, the number of non-parent colors a bottom
     block leaves unused, by inverting the CDF of `_unused_slot_law`.
@@ -173,31 +156,11 @@ def _unused_entries(parents: np.ndarray, k: int, branching: int, gen) -> tuple:
     return u + 1, np.concatenate([np.arange(parent.size), vertex]), np.concatenate([parent, color])
 
 
-def _unused_colors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
-    """(len(parents), k) bool: the colors each parent's `branching` fresh
-    children leave unused (`_unused_entries`, scattered)."""
-    _, vertex, color = _unused_entries(parents, k, branching, gen)
-    unused = np.zeros((parents.size, k), dtype=bool)
-    unused[vertex, color] = True
-    return unused
-
-
-def _unused_log_factors(unused: np.ndarray) -> np.ndarray:
-    """log(1 - m) for the messages of height-1 vertices with the given
-    unused-color sets: m is uniform on the s unused colors, so the factor
-    is log(1 - 1/s) there and 0 on the used ones."""
-    sizes = unused.sum(axis=-1, keepdims=True)
-    if (sizes == 0).any():
-        raise InfeasibleBoundaryError("a bottom block uses all colors")
-    with np.errstate(divide="ignore"):
-        return np.where(unused, np.log1p(-1.0 / sizes), 0.0)
-
-
 def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
     """(k, len(parents)) log(1 - m) for the messages of height-1 vertices
-    with fresh children: log(1 - 1/s) on each vertex's s unused colors
-    (`_unused_entries`) and 0 on the used ones, bitwise as
-    `_unused_log_factors` gives them from the scattered sets.
+    with fresh children: m is uniform on each vertex's s unused colors
+    (`_unused_entries`), so the factor is log(1 - 1/s) there and 0 on the
+    used ones.  The vertex's own color is always among them, so s >= 1.
 
     The factors are scattered into the rows of an (N, k) array and returned
     as its transpose, a view: the flat index is computed in place, and the
@@ -263,8 +226,10 @@ def posterior_rows(
     at_root = height == shape.depth
     if height == 1:
         if at_root:
-            unused = _unused_colors(colors, k, branching, gen)
-            return unused / unused.sum(axis=1, keepdims=True)
+            sizes, vertex, color = _unused_entries(colors, k, branching, gen)
+            rows = np.zeros((n, k))
+            rows[vertex, color] = 1.0 / sizes[vertex]
+            return rows
         factors = _occupancy_log_factors(colors, k, branching, gen)
     else:
         table = _message_table(branching, k, height)

@@ -103,13 +103,15 @@ def _check_out_dir(path: str | None) -> None:
         raise ValidationError(f"output directory {folder!r} does not exist")
 
 
-def _read_leaves(path: str, k: int) -> list[int]:
+def _read_leaves(path: str, k: int):
+    """The first line of `path` as leaf colors: the parsed coloring's
+    read-only int16 values, which `PartialLeafColoring` takes as they are."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             line = fh.readline()
     except OSError as exc:
         raise ValidationError(f"cannot read leaves file: {exc}") from None
-    return PartialLeafColoring.from_text(line, k).values.tolist()
+    return PartialLeafColoring.from_text(line, k).values
 
 
 def _configs(command: str, merged: dict):

@@ -142,16 +142,11 @@ def estimate_hamming(
 # the disagreement branching process
 
 
-def simulate_disagreement_process(
-    branching: int, k: int, depth: int, rng: RandomSource
-) -> int:
-    """One draw of the chain D_0 = 1, D_{i+1} ~ Bin(branching * D_i, 1/(k-1))."""
-    return int(disagreement_counts(branching, k, depth, 1, rng)[0])
-
-
 def disagreement_counts(
     branching: int, k: int, depth: int, n: int, rng: RandomSource
 ) -> np.ndarray:
+    """n independent draws of D_depth for the chain D_0 = 1,
+    D_{i+1} ~ Bin(branching * D_i, 1/(k-1))."""
     if branching < 2 or k < 2:
         raise ValidationError("need branching >= 2 and k >= 2")
     if depth < 0:

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: statistics, exact laws and the CLI subprocess environment."""
+"""Shared helpers for the test suite: statistics, exact laws, the bottom
+blocks' unused-color sets and the CLI subprocess environment."""
 from __future__ import annotations
 
 import os
@@ -9,7 +10,8 @@ import numpy as np
 from scipy import stats
 
 import treecolor
-from treecolor import TreeShape
+from treecolor import InfeasibleBoundaryError, RandomSource, TreeShape
+from treecolor.broadcast_sampler import _level_at, _unused_entries
 
 CHI2_P_FLOOR = 0.001
 
@@ -45,6 +47,34 @@ def downward_leaf_law(shape: TreeShape, k: int, root_color: int) -> dict[tuple, 
                 nxt[combo] = nxt.get(combo, Fraction(0)) + step_p
         laws = nxt
     return laws
+
+
+def block_unused_sets(
+    shape: TreeShape, k: int, n: int, rng: RandomSource, root_colors=None
+) -> np.ndarray:
+    """(n, blocks, k) bool: True where a bottom block leaves color c unused.
+
+    The library's one occupancy draw (`_unused_entries`) below a broadcast
+    to depth - 1, scattered densely; `posterior_rows` at height 1 draws the
+    same sets from the same stream.
+    """
+    gen = rng.generator
+    level = _level_at(k, shape.branching, shape.depth - 1, n, gen, root_colors)
+    _, vertex, color = _unused_entries(level, k, shape.branching, gen)
+    unused = np.zeros((level.size, k), dtype=bool)
+    unused[vertex, color] = True
+    return unused.reshape(level.shape + (k,))
+
+
+def unused_log_factors(unused: np.ndarray) -> np.ndarray:
+    """log(1 - m) for the messages of height-1 vertices with the given
+    unused-color sets: m is uniform on the s unused colors, so the factor
+    is log(1 - 1/s) there and 0 on the used ones."""
+    sizes = unused.sum(axis=-1, keepdims=True)
+    if (sizes == 0).any():
+        raise InfeasibleBoundaryError("a bottom block uses all colors")
+    with np.errstate(divide="ignore"):
+        return np.where(unused, np.log1p(-1.0 / sizes), 0.0)
 
 
 def cli_subprocess_env() -> dict:

@@ -19,7 +19,6 @@ from treecolor import (
     initial_state,
     is_allowed_batch,
     is_proper,
-    sample_block_counts,
     sample_down_up,
     sample_full,
     sample_leaf_rows,
@@ -27,7 +26,6 @@ from treecolor import (
 )
 from treecolor.broadcast_sampler import (
     _table_entries,
-    _unused_log_factors,
     posterior_rows,
     sample_from_rows,
 )
@@ -45,7 +43,13 @@ from treecolor.exact_engine import (
     root_marginal_batch,
 )
 
-from conftest import CHI2_P_FLOOR, chi2_pvalue, downward_leaf_law
+from conftest import (
+    CHI2_P_FLOOR,
+    block_unused_sets,
+    chi2_pvalue,
+    downward_leaf_law,
+    unused_log_factors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ def test_leaf_rows_vector_root_colors():
 
 
 # ---------------------------------------------------------------------------
-# block counts (the deep-tree fast path)
+# the bottom blocks' unused-color sets (the occupancy draw)
 
 
 def test_block_counts_shape_and_sums():
@@ -284,14 +288,14 @@ def test_block_counts_shape_and_sums():
     # max(1, k - Delta) and k - 1 colors in all unused
     shape = TreeShape(3, 2)
     for k in (4, 6):
-        unused = sample_block_counts(shape, k, 200, RandomSource(12))
+        unused = block_unused_sets(shape, k, 200, RandomSource(12))
         assert unused.dtype == bool
         assert unused.shape == (200, 3, k)
         sizes = unused.sum(axis=2)
         assert sizes.min() >= max(1, k - 3)
         assert sizes.max() <= k - 1
     roots = np.array([1, 2, 3, 4, 4, 1], dtype=np.int16)
-    unused = sample_block_counts(TreeShape(2, 1), 4, 6, RandomSource(13), root_colors=roots)
+    unused = block_unused_sets(TreeShape(2, 1), 4, 6, RandomSource(13), root_colors=roots)
     assert unused[np.arange(6), 0, roots - 1].all()
 
 
@@ -310,7 +314,7 @@ def test_block_counts_match_materialized_law():
         unused_law[key] = unused_law.get(key, Fraction(0)) + p
     keys = sorted(unused_law)
     index = {key: i for i, key in enumerate(keys)}
-    sampled = sample_block_counts(shape, k, 100_000, RandomSource(51), root_colors=1)
+    sampled = block_unused_sets(shape, k, 100_000, RandomSource(51), root_colors=1)
     counts = np.zeros(len(keys), dtype=np.int64)
     for sample in sampled:
         counts[index[tuple(map(tuple, sample.tolist()))]] += 1
@@ -321,7 +325,7 @@ def test_block_counts_match_materialized_law():
 def test_block_counts_pinned_draws():
     # `posterior_rows` at height 1 draws the same sets from the same stream,
     # so its rows per seed depend on this draw staying byte-identical
-    unused = sample_block_counts(TreeShape(4, 2), 5, 2, RandomSource(21))
+    unused = block_unused_sets(TreeShape(4, 2), 5, 2, RandomSource(21))
     got = [[(np.flatnonzero(block) + 1).tolist() for block in sample] for sample in unused]
     assert got == [[[2], [3, 5], [2, 3, 5], [1, 2]], [[3, 5], [2, 3, 4], [1, 2, 3], [1, 3]]]
 
@@ -336,11 +340,6 @@ def test_unused_slot_law_matches_ball_tally():
         law, cdf = _unused_slot_law(branching, k)
         assert law == tuple(Fraction(t, bins**branching) for t in tally)
         assert cdf[-1] == 1.0
-
-
-def test_block_counts_depth0_rejected():
-    with pytest.raises(ValidationError):
-        sample_block_counts(TreeShape(2, 0), 3, 1, RandomSource(0))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +481,7 @@ def test_posterior_rows_match_batch_marginals():
 
 
 def test_posterior_rows_at_height1_are_block_counts():
-    # the occupancy draw of `sample_block_counts`, then the log(1 - 1/s) fold
+    # the sets `block_unused_sets` scatters, then the log(1 - 1/s) fold
     for branching, k, depth, n, roots in [
         (6, 8, 3, 50, 5),
         (20, 5, 3, 3, None),
@@ -491,13 +490,13 @@ def test_posterior_rows_at_height1_are_block_counts():
         (20, 5, 2, 5, np.array([2, 5, 1, 4, 2], dtype=np.int16)),
     ]:
         shape = TreeShape(branching, depth)
-        unused = sample_block_counts(shape, k, n, RandomSource(4), root_colors=roots)
-        factors = np.moveaxis(_unused_log_factors(unused), -1, 0)
+        unused = block_unused_sets(shape, k, n, RandomSource(4), root_colors=roots)
+        factors = np.moveaxis(unused_log_factors(unused), -1, 0)
         expected = _fold_factors(factors, branching, depth - 1)
         got = posterior_rows(shape, k, n, RandomSource(4), root_colors=roots)
         assert np.array_equal(got, expected)
     # depth 1: the root's message is uniform on its unused colors
-    unused = sample_block_counts(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
+    unused = block_unused_sets(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
     got = posterior_rows(TreeShape(6, 1), 8, 50, RandomSource(5))
     assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
 
@@ -531,9 +530,11 @@ def test_table_draw_is_the_binary_search(branching, k, height):
     assert np.array_equal(gathered, swapped.T)
 
 
-# SHA-256 of posterior_rows(...).tobytes().  The k = 3 digests are those of a
-# binary search over each table's CDF and a row-major fold; the k = 8 one is
-# the color-major fold's, whose sums of 1 - m_c round differently at k >= 4.
+# SHA-256 of posterior_rows(...).tobytes().  The depth >= 5, k = 3 digests are
+# those of a binary search over each table's CDF and a row-major fold; the
+# depth-5, k = 8 one is the color-major fold's, whose sums of 1 - m_c round
+# differently at k >= 4.  The depth-1 rows have no fold: each is 1/s on the s
+# colors the root's block leaves unused.
 PINNED_POSTERIORS = [
     ((2, 12), 3, 500, 8, None,
      "585e1c17c1da704feffa0bd9ac174480c2a0ca23441c5f651c2d142a2c0c0759"),
@@ -543,6 +544,12 @@ PINNED_POSTERIORS = [
      "90632790448a4d2786abbc06c2093bfcacc72ba0797529dc62b5776d300c5cab"),
     ((20, 5), 8, 1, 3, None,
      "8c634521ece1eda2974dba30e8b489f7b71b06dcbb5422da308c0940136155c1"),
+    ((2, 1), 3, 500, 8, None,
+     "65ac347ef45f1eb93ff59e2b8d3253aff83450ba03875cf0e2de65594bdfb1e9"),
+    ((6, 1), 8, 50, 5, (8, 1, 3, 3, 2) * 10,
+     "ac34a260aa55c7757bb2bec266b41035558e98d84eef34f36a32c3202c1f1e4b"),
+    ((20, 1), 5, 7, 3, None,
+     "8f329704a7f94b2716ad40b3a752278834b7623ba62106f159db08aa0eaa0666"),
 ]
 
 

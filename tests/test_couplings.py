@@ -43,7 +43,6 @@ from treecolor.couplings import (
     _hamming_distances,
     branching_mean,
     hamming_tail_tree,
-    simulate_disagreement_process,
 )
 from treecolor.exact_engine import tv_root
 
@@ -221,7 +220,7 @@ def exact_disagreement_pmf(branching: int, k: int, depth: int) -> list[Fraction]
 
 
 def test_disagreement_process_depth0():
-    assert simulate_disagreement_process(2, 3, 0, RandomSource(0)) == 1
+    assert disagreement_counts(2, 3, 0, 1, RandomSource(0)).tolist() == [1]
 
 
 def test_disagreement_pmf_frozen():

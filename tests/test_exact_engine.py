@@ -36,7 +36,6 @@ from treecolor import (
 from treecolor.broadcast_sampler import (
     _occupancy_log_factors,
     _table_entries,
-    _unused_log_factors,
     posterior_rows,
 )
 from treecolor.exact_engine import (
@@ -49,6 +48,8 @@ from treecolor.exact_engine import (
     root_marginal_batch,
 )
 from treecolor.tree_model import STAR
+
+from conftest import unused_log_factors
 
 
 def leaves(k, *values):
@@ -256,14 +257,14 @@ def test_block_count_marginals():
         for block in range(2):
             for c in row[2 * block : 2 * block + 2]:
                 counts[i, block, c - 1] += 1
-    factors = np.moveaxis(_unused_log_factors(counts == 0), -1, 0)
+    factors = np.moveaxis(unused_log_factors(counts == 0), -1, 0)
     got = _fold_factors(factors, shape.branching, 1)
     full = root_marginal_batch(shape, k, rows)
     np.testing.assert_allclose(got, full, atol=1e-12)
     with pytest.raises(InfeasibleBoundaryError):
         bad = counts.copy()
         bad[0, 0] = [1, 1, 1]  # a block using all colors kills its parent
-        _unused_log_factors(bad == 0)
+        unused_log_factors(bad == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def test_block_fold_near_certain_messages():
     first = delta54_rows()[0]
     unused = np.ones((1, 54 * 54, 3), dtype=bool)
     unused[0, np.arange(54 * 54), first[::54] - 1] = False
-    got = _fold_factors(np.moveaxis(_unused_log_factors(unused), -1, 0), 54, 2)
+    got = _fold_factors(np.moveaxis(unused_log_factors(unused), -1, 0), 54, 2)
     np.testing.assert_allclose(got[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-12)
 
 

@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "is_allowed_batch", "is_highly_unbiasing", "is_proper", "is_unbiasing",
     "local_entropy_sum", "mixing_time_exact", "restrict_to_subtree",
     "root_marginal", "root_marginal_bruteforce", "run_chain", "run_experiment",
-    "sample_block_counts", "sample_down_up", "sample_full", "sample_leaf_rows",
+    "sample_down_up", "sample_full", "sample_leaf_rows",
     "sample_leaves_given_root", "single_disagreement_report", "star_out",
     "state_space_size", "stationary_and_gap", "step",
     "tv_distance", "tv_root", "upward_channel_tv",
