@@ -12,11 +12,13 @@ block's Delta leaves are Delta balls thrown uniformly into the k-1 colors
 other than the parent's, so the number of those colors left empty follows
 the occupancy law, and given that number the empty colors are a uniform
 subset.  `_unused_entries` is the one draw of these sets; it returns them
-sparsely, as (vertex, color) pairs.  The unbiasing classifier sees a
-bottom block only through its count 1 + u of unused colors, and the law
-of u does not depend on the parent's color, so the counts of all bottom
-blocks are i.i.d.: `estimate_q` draws them directly (`_unused_slots`),
-with no broadcast and no sets.
+sparsely, as (vertex, color) pairs: first the own colors of the vertices
+with no other unused color, then each other vertex's pairs together, the
+vertices in sibling order.  The unbiasing classifier sees a bottom block
+only through its count 1 + u of unused colors, and the law of u does not
+depend on the parent's color, so the counts of all bottom blocks are
+i.i.d.: `estimate_q` draws them directly (`_unused_slots`), with no
+broadcast and no sets.
 
 `posterior_rows` goes further up.  A vertex's upward message (the law of
 its color given the leaves below it, under a uniform prior) depends only
@@ -25,9 +27,12 @@ broadcast; so the message of a height-h vertex has a finite law.
 `exact_engine` holds these laws exactly (`_message_law`, the occupancy
 law `_unused_slot_law`) and their float tables; this module only samples
 from them.  The sampler broadcasts down to depth depth - h only, draws
-each vertex's message there from its table (from the occupancy sets above
-at h = 1) by guide-table inversion of its CDF, and folds the levels above
-in floats, color-major (`exact_engine._fold_factors`).  `sample_down_up`
+each vertex's message there from its table by guide-table inversion of
+its CDF, and folds the levels above in floats, color-major
+(`exact_engine._fold_factors`).  At h = 1 one ordered `np.bincount` sums
+the occupancy pairs above straight into their parents' log-weights, the
+same sums in the same order as the fold's sibling sums, and the fold goes
+on from there (`exact_engine._fold_log_weights`).  `sample_down_up`
 redraws a root color from one such row, so every posterior draw takes
 this route.
 
@@ -42,6 +47,7 @@ from .exact_engine import (
     _MessageTable,
     _color_swaps,
     _fold_factors,
+    _fold_log_weights,
     _message_table,
     _table_height,
     _unused_slot_law,
@@ -135,46 +141,34 @@ def _unused_entries(parents: np.ndarray, k: int, branching: int, gen) -> tuple:
     (sizes, vertex, color): parent i leaves sizes[i] colors unused, and
     every pair (vertex[j], color[j]) names one of them, colors 0-based.
 
-    The parent's color is always unused; those N pairs come first.  The
-    number u of other unused colors is drawn by `_unused_slots`; parents
-    with u > 0 then pick a uniform u-subset of the k-1 non-parent slots by
-    selection sampling.
+    The number u of non-parent colors left unused is drawn by
+    `_unused_slots`; parents with u > 0 then pick a uniform u-subset of the
+    k-1 non-parent slots by selection sampling.  The parent's color is
+    always unused.  The pairs come in this order: the own color of each
+    parent with u = 0, then all the pairs of each parent with u > 0, its
+    own color first, the parents in increasing order.  The pairs of one
+    color in one block of siblings thus come in sibling order, except that
+    the siblings with u = 0 come first; their log-factor log(1 - 1/1) is
+    -inf, which absorbs every term summed with it.
     """
     parent = parents.reshape(-1) - 1
     u = _unused_slots(branching, k, parent.size, gen)
+    idle = np.flatnonzero(u == 0)
     busy = np.flatnonzero(u > 0)
     need = u[busy]
-    picks = np.empty((k - 1, busy.size), dtype=bool)
+    # column 0 is the parent's own color, column slot + 1 a non-parent slot
+    picks = np.empty((busy.size, k), dtype=bool)
+    picks[:, 0] = True
     for slot in range(k - 1):
-        pick = picks[slot]
+        pick = picks[:, slot + 1]
         np.less(gen.random(busy.size) * (k - 1 - slot), need, out=pick)
         need -= pick
-    slot, at = np.divmod(np.flatnonzero(picks), busy.size)
+    at, column = np.divmod(np.flatnonzero(picks), k)
     vertex = busy[at]
+    own = parent[vertex]
     # slot s is color s below the parent's color, s + 1 above it
-    color = (slot + (slot >= parent[vertex])).astype(parent.dtype)
-    return u + 1, np.concatenate([np.arange(parent.size), vertex]), np.concatenate([parent, color])
-
-
-def _occupancy_log_factors(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
-    """(k, len(parents)) log(1 - m) for the messages of height-1 vertices
-    with fresh children: m is uniform on each vertex's s unused colors
-    (`_unused_entries`), so the factor is log(1 - 1/s) there and 0 on the
-    used ones.  The vertex's own color is always among them, so s >= 1.
-
-    The factors are scattered into the rows of an (N, k) array and returned
-    as its transpose, a view: the flat index is computed in place, and the
-    fold's sibling sums read each vertex's k factors from one row.
-    """
-    sizes, vertex, color = _unused_entries(parents, k, branching, gen)
-    with np.errstate(divide="ignore"):
-        values = np.log1p(-1.0 / np.arange(1, k + 1))[sizes[vertex] - 1]
-    vertex *= k
-    vertex += color  # the flat index of each pair
-    del sizes, color  # the zeroed array is then the only large one
-    factors = np.zeros((parents.size, k))
-    factors.reshape(-1)[vertex] = values
-    return factors.T
+    color = np.where(column > 0, column - (column <= own), own).astype(parent.dtype)
+    return u + 1, np.concatenate([idle, vertex]), np.concatenate([parent[idle], color])
 
 
 def _table_entries(table: _MessageTable, x: np.ndarray) -> np.ndarray:
@@ -211,10 +205,13 @@ def posterior_rows(
     Distributed exactly as `root_marginal_batch` of `sample_leaf_rows`.
     Colors are broadcast down to depth - h, h = `_table_height`; each
     vertex there draws its height-h message by inverting its table's CDF
-    with one uniform through the table's guide (`_table_entries`; the
-    occupancy law at h = 1), its log-factors are gathered color-major, and
-    the levels above are folded in floats.  At depth 0, h = 0 and the table
-    is the point mass on the root's own color.  An empty batch gives (0, k).
+    with one uniform through the table's guide (`_table_entries`), its
+    log-factors are gathered color-major, and the levels above are folded
+    in floats.  At h = 1 each vertex draws its set of unused colors
+    instead (`_unused_entries`), and the log-factors of its pairs are
+    summed straight into its parent's log-weights.  At depth 0, h = 0 and
+    the table is the point mass on the root's own color.  An empty batch
+    gives (0, k).
     """
     _check_k(k)
     branching = shape.branching
@@ -225,20 +222,28 @@ def posterior_rows(
         return np.empty((0, k))
     at_root = height == shape.depth
     if height == 1:
+        sizes, vertex, color = _unused_entries(colors, k, branching, gen)
         if at_root:
-            sizes, vertex, color = _unused_entries(colors, k, branching, gen)
             rows = np.zeros((n, k))
             rows[vertex, color] = 1.0 / sizes[vertex]
             return rows
-        factors = _occupancy_log_factors(colors, k, branching, gen)
-    else:
-        table = _message_table(branching, k, height)
-        entry = _table_entries(table, gen.random(colors.size))
-        if at_root:
-            return table.messages[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
-        # a vertex of color r reads entry e of its table at (r - 1) * E + e
-        entry += np.multiply(colors - 1, table.cdf.size, dtype=np.intp)
-        factors = np.take(table.by_color, entry, axis=1)
+        # each pair adds its vertex's log(1 - 1/s) to the log-weight of its
+        # color at the vertex's parent, in pair order; the bin
+        # color * parents + parent lays the log-weights out color-major
+        with np.errstate(divide="ignore"):
+            log_factor = np.log1p(-1.0 / np.arange(1, k + 1))[sizes[vertex] - 1]
+        parents = colors.size // branching
+        vertex //= branching
+        vertex += np.multiply(color, parents, dtype=np.intp)
+        logw = np.bincount(vertex, log_factor, minlength=k * parents)
+        return _fold_log_weights(logw.reshape(k, n, -1), branching, shape.depth - 2)
+    table = _message_table(branching, k, height)
+    entry = _table_entries(table, gen.random(colors.size))
+    if at_root:
+        return table.messages[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
+    # a vertex of color r reads entry e of its table at (r - 1) * E + e
+    entry += np.multiply(colors - 1, table.cdf.size, dtype=np.intp)
+    factors = np.take(table.by_color, entry, axis=1)
     return _fold_factors(factors.reshape(k, n, -1), branching, shape.depth - height)
 
 

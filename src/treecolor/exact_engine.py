@@ -35,10 +35,11 @@ Two backends for root marginals:
   form, `root_marginal_batch`, gathers the first level from the leaves;
   `_fold_factors`, the fold it ends in, also folds the bottom-level
   messages that `broadcast_sampler.posterior_rows` draws from exact tables
-  in place of leaves.  The fold is color-major: it holds (k, batch,
-  width) arrays and takes maxima and sums over colors one color at a
-  time, in ascending order, and sums siblings one at a time, in tree
-  order.
+  in place of leaves; `_fold_log_weights` runs the same fold from the
+  log-weights one level up, which `posterior_rows` sums from occupancy
+  sets.  The fold is color-major: it holds (k, batch, width) arrays and
+  takes maxima and sums over colors one color at a time, in ascending
+  order, and sums siblings one at a time, in tree order.
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
@@ -303,12 +304,19 @@ def _fold_factors(factors: np.ndarray, branching: int, depth: int) -> np.ndarray
     (k, batch, width).
 
     A child with message m lets its parent take color c in proportion to
-    1 - m_c, so each block of siblings sums into its parent's log-weights;
-    the parents' messages then give the next level's factors, up to the
-    root.
+    1 - m_c, so each block of siblings sums into its parent's log-weights,
+    which `_fold_log_weights` folds up to the root.
     """
-    logw = _sibling_sums(factors, branching)
-    for _ in range(depth - 1):
+    return _fold_log_weights(_sibling_sums(factors, branching), branching, depth - 1)
+
+
+def _fold_log_weights(logw: np.ndarray, branching: int, depth: int) -> np.ndarray:
+    """(batch, k) root marginals from the log-weights of every vertex at
+    one depth >= 0, given color-major as (k, batch, width): each level's
+    messages give the factors of the next level up, summed into their
+    parents' log-weights, up to the root.
+    """
+    for _ in range(depth):
         logw = _sibling_sums(_log_complements(_normalized(logw)), branching)
     return np.ascontiguousarray(_normalized(logw[:, :, 0]).T)
 

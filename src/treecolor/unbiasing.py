@@ -57,14 +57,6 @@ def epsilon_from(k: int, branching: int) -> UnbiasingParams:
     return UnbiasingParams(min(C - 1.0, 1 / 3))
 
 
-def count_unused_colors(block, k: int) -> int:
-    """Colors in 1..k absent from the block; unconstrained entries never count."""
-    _check_k(k)
-    vals = np.asarray(block)
-    present = np.unique(vals[(vals >= 1) & (vals <= k)])
-    return k - present.size
-
-
 def _level_flags(
     unused_counts: np.ndarray, branching: int, depth: int, eps: float
 ) -> list[np.ndarray]:

@@ -26,6 +26,7 @@ from treecolor import (
 )
 from treecolor.broadcast_sampler import (
     _table_entries,
+    _unused_entries,
     posterior_rows,
     sample_from_rows,
 )
@@ -488,9 +489,16 @@ def test_posterior_rows_at_height1_are_block_counts():
         (20, 8, 3, 1, 2),
         (20, 8, 3, 4, np.array([8, 1, 3, 3], dtype=np.int16)),
         (20, 5, 2, 5, np.array([2, 5, 1, 4, 2], dtype=np.int16)),
+        (20, 4, 3, 5, None),   # nearly every block has u = 0: its bins are -inf
+        (3, 8, 4, 10, None),   # every block has u > 0
+        (20, 8, 2, 6, np.array([8, 1, 3, 3, 2, 7], dtype=np.int16)),  # the root's children
     ]:
         shape = TreeShape(branching, depth)
         unused = block_unused_sets(shape, k, n, RandomSource(4), root_colors=roots)
+        if (branching, k) == (20, 4):
+            assert (unused.sum(axis=-1) == 1).mean() > 0.99
+        if (branching, k) == (3, 8):
+            assert (unused.sum(axis=-1) > 1).all()
         factors = np.moveaxis(unused_log_factors(unused), -1, 0)
         expected = _fold_factors(factors, branching, depth - 1)
         got = posterior_rows(shape, k, n, RandomSource(4), root_colors=roots)
@@ -499,6 +507,28 @@ def test_posterior_rows_at_height1_are_block_counts():
     unused = block_unused_sets(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
     got = posterior_rows(TreeShape(6, 1), 8, 50, RandomSource(5))
     assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
+
+
+def test_unused_entries_pair_order():
+    # the u = 0 parents' own colors first, then each other parent's pairs
+    # together, its own color first, the parents in increasing order
+    branching, k = 6, 5
+    parents = np.random.default_rng(1).integers(1, k + 1, size=(4, 60)).astype(np.int16)
+    own = parents.reshape(-1) - 1
+    sizes, vertex, color = _unused_entries(parents, k, branching, np.random.default_rng(2))
+    idle = np.flatnonzero(sizes == 1)
+    busy = np.flatnonzero(sizes > 1)
+    assert idle.size and busy.size
+    assert np.array_equal(vertex[: idle.size], idle)
+    assert np.array_equal(color[: idle.size], own[idle])
+    rest, rest_color = vertex[idle.size :], color[idle.size :]
+    assert (np.diff(rest) >= 0).all()
+    starts = np.flatnonzero(np.diff(rest, prepend=-1))
+    assert np.array_equal(rest[starts], busy)
+    assert np.array_equal(np.diff(np.append(starts, rest.size)), sizes[busy])
+    assert np.array_equal(rest_color[starts], own[busy])
+    # no pair twice
+    assert np.unique(vertex * k + color).size == vertex.size
 
 
 # (branching, k, height) of every table the tests and the benchmark draw from
@@ -550,6 +580,12 @@ PINNED_POSTERIORS = [
      "ac34a260aa55c7757bb2bec266b41035558e98d84eef34f36a32c3202c1f1e4b"),
     ((20, 1), 5, 7, 3, None,
      "8f329704a7f94b2716ad40b3a752278834b7623ba62106f159db08aa0eaa0666"),
+    ((20, 3), 4, 9, 12, None,
+     "ead1a43a22fd7715ebe6a9ba2d278cb05e7dc378baebc877cac5b8c193f67707"),
+    ((3, 4), 8, 40, 14, None,
+     "5761045b9a5877b35e99592d6ee977d19cddc5a40efe02742cf0455c1e90b1cd"),
+    ((20, 2), 8, 6, 15, (8, 1, 3, 3, 2, 7),
+     "e37d8c74fcedaadc20da03d63902e6f85d19c7a5e676665f725c224cbdce0fca"),
 ]
 
 

@@ -34,7 +34,6 @@ from treecolor import (
     vertex_conditional_marginal,
 )
 from treecolor.broadcast_sampler import (
-    _occupancy_log_factors,
     _table_entries,
     posterior_rows,
 )
@@ -49,7 +48,7 @@ from treecolor.exact_engine import (
 )
 from treecolor.tree_model import STAR
 
-from conftest import unused_log_factors
+from conftest import block_unused_sets, unused_log_factors
 
 
 def leaves(k, *values):
@@ -382,11 +381,12 @@ def test_table_fold_matches_rowmajor_fold(branching, k, height, depth, n):
     (20, 3, 3, 2), (6, 5, 3, 10), (20, 8, 3, 2), (3, 8, 4, 10),
 ])
 def test_occupancy_fold_matches_rowmajor_fold(branching, k, depth, n):
-    colors = sample_leaf_rows(TreeShape(branching, depth - 1), k, n, RandomSource(k)).reshape(-1)
-    factors = _occupancy_log_factors(colors, k, branching, np.random.default_rng(depth))
-    got = _fold_factors(factors.reshape(k, n, -1), branching, depth - 1)
-    expected = rowmajor_fold(factors.T.reshape(n, -1, k), branching, depth - 1)
-    assert_folds_agree(got, expected, k)
+    # the posteriors summed from the occupancy pairs, against the row-major
+    # fold of the same pairs scattered densely
+    shape = TreeShape(branching, depth)
+    unused = block_unused_sets(shape, k, n, RandomSource(k))
+    expected = rowmajor_fold(unused_log_factors(unused), branching, depth - 1)
+    assert_folds_agree(posterior_rows(shape, k, n, RandomSource(k)), expected, k)
 
 
 def test_fold_checks_every_level():

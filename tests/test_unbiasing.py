@@ -25,7 +25,7 @@ from treecolor import (
     sample_leaf_rows,
     star_out,
 )
-from treecolor.unbiasing import classify_rows, count_unused_colors, qualifying_heights
+from treecolor.unbiasing import classify_rows, qualifying_heights
 
 from conftest import CHI2_P_FLOOR
 
@@ -243,6 +243,12 @@ def test_starring_preserves_highly_unbiasing():
 
 # ---------------------------------------------------------------------------
 # failure-probability estimation
+
+
+def count_unused_colors(block, k: int) -> int:
+    """Colors in 1..k absent from the block; unconstrained entries never count."""
+    vals = np.asarray(block)
+    return k - np.unique(vals[(vals >= 1) & (vals <= k)]).size
 
 
 def exact_q1(branching: int, k: int, eps) -> Fraction:
