@@ -97,7 +97,8 @@ def _cast_file_value(name: str, caster, text: str):
 
 
 def _check_out_dir(path: str | None) -> None:
-    """Refuse an --out path whose directory is missing before any work is done."""
+    """Refuse an output path (--out, --matrix-out) whose directory is
+    missing before any work is done."""
     folder = os.path.dirname(path) if path else ""
     if folder and not os.path.isdir(folder):
         raise ValidationError(f"output directory {folder!r} does not exist")
@@ -153,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge_params(args.command, args)
         _check_out_dir(merged["out"])
+        _check_out_dir(merged.get("matrix_out"))
         if args.command == "marginal":
             merged["leaves"] = _read_leaves(merged["leaves"], merged["k"])
         records = [run_experiment(config) for config in _configs(args.command, merged)]

@@ -22,9 +22,10 @@ validates its coloring once, at exit; single moves (`heat_bath_block`,
 On instances small enough to enumerate, the states are split once per
 block root by their colors outside the block (`_outside_groups`).  A
 move on that block lands uniformly on the current state's group, so the
-exact transition matrix is assembled in rationals from these groups, and
-the entropy functionals for the local-vs-global entropy comparison read
-the same groups: one block decomposition for every exact diagnostic.
+exact transition matrix is assembled from these groups as integer
+numerators over one common denominator, and the entropy functionals for
+the local-vs-global entropy comparison read the same groups: one block
+decomposition for every exact diagnostic.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
@@ -297,26 +298,35 @@ def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Exact rational block-dynamics kernel on an enumerated tiny instance."""
+    """Exact block-dynamics kernel on an enumerated tiny instance.
+
+    Entry (i, j) is rows[i][j] / denominator: each row maps a column to a
+    positive integer numerator and omits the zero entries, and the
+    denominator is the least common one, the lcm of the reduced entries'
+    denominators.
+    """
 
     shape: TreeShape
     k: int
     block_depth: int
     states: tuple
-    rows: tuple = field(repr=False)  # tuple of {column: Fraction}
+    rows: tuple = field(repr=False)  # tuple of {column: int numerator}
+    denominator: int
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, Fraction(0))
+        return Fraction(self.rows[i].get(j, 0), self.denominator)
 
     def to_dense(self) -> np.ndarray:
+        """float64 entries, each the correctly rounded value of its fraction:
+        Python's int / int true division rounds correctly."""
         dense = np.zeros((self.size, self.size))
+        d = self.denominator
         for i, row in enumerate(self.rows):
-            for j, val in row.items():
-                dense[i, j] = float(val)
+            dense[i, list(row)] = [num / d for num in row.values()]
         return dense
 
 
@@ -331,39 +341,48 @@ def build_transition_matrix(
     states that agree with x outside the block: x's group in
     `_outside_groups`.  So a block root r that m_r of the N vertices
     select adds m_r / (N |G|) to every entry of G x G, for each of its
-    groups G.  Roots are taken in increasing order and each group's
-    states in enumeration order, so every row lists its columns in the
-    order a per-state scan of the block's completions would.
+    groups G: m_r * (L // |G|) over N * L, with L the lcm of the group
+    sizes.  The numerators and N * L are then divided by their common
+    gcd, which leaves the least common denominator.  Roots are taken in
+    increasing order and each group's states in enumeration order, so
+    every row lists its columns in the order a per-state scan of the
+    block's completions would.
     """
     states, groups, root_of = _outside_groups(shape, k, block_depth)
-    n_vertices = shape.vertex_count
+    lcm = math.lcm(*(len(group) for members in groups.values() for group in members))
     rows = [dict() for _ in states]
     for root in sorted(groups):
         count = root_of.count(root)
         for group in groups[root]:
-            weight = Fraction(count, n_vertices * len(group))
+            weight = count * (lcm // len(group))
             members = group.tolist()
             for i in members:
                 row = rows[i]
                 for j in members:
                     row[j] = row[j] + weight if j in row else weight
+    denominator = shape.vertex_count * lcm
+    common = math.gcd(denominator, *(num for row in rows for num in row.values()))
+    if common > 1:
+        rows = [{j: num // common for j, num in row.items()} for row in rows]
+        denominator //= common
     return TransitionMatrix(
         shape=shape,
         k=k,
         block_depth=block_depth,
         states=states,
         rows=tuple(rows),
+        denominator=denominator,
     )
 
 
 def stationary_and_gap(matrix: TransitionMatrix) -> dict:
     """Exact uniform-stationarity check plus a numerical spectral gap."""
     size = matrix.size
-    col_sums = [Fraction(0)] * size
+    col_sums = [0] * size
     for row in matrix.rows:
-        for j, val in row.items():
-            col_sums[j] += val
-    is_uniform = all(s == 1 for s in col_sums)
+        for j, num in row.items():
+            col_sums[j] += num
+    is_uniform = all(s == matrix.denominator for s in col_sums)
     dense = matrix.to_dense()
     if size <= 4000:
         eigs = np.linalg.eigvalsh(dense)
@@ -443,7 +462,8 @@ def mixing_time_exact(matrix: TransitionMatrix) -> int:
         )
     # Error bound, with u = 2^-53, n states, gamma_n = nu / (1 - nu), and
     # Q_t = P^t against its float copy R_t (R_1 = fl(P), R_t+1 = fl(R_t fl(P))):
-    # * fl(P) is entrywise within u*P (float(Fraction) rounds correctly),
+    # * fl(P) is entrywise within u*P (to_dense divides each integer
+    #   numerator by the denominator, and int / int rounds correctly),
     #   so ||fl(P)|| <= 1 + u and ||fl(P) - P|| <= u in the max-row-sum norm.
     # * A float product of nonnegative matrices is entrywise within
     #   gamma_n*A*B of AB, whatever the summation order (Higham, Accuracy
@@ -479,10 +499,8 @@ def _mixing_time_integer(matrix: TransitionMatrix) -> int:
     rational bounds on e, tight to ~1e-60, instead of floats.
     """
     size = matrix.size
-    denom = math.lcm(*(val.denominator for row in matrix.rows for val in row.values()))
-    base = [
-        [int(matrix.entry(i, j) * denom) for j in range(size)] for i in range(size)
-    ]
+    denom = matrix.denominator
+    base = [[row.get(j, 0) for j in range(size)] for row in matrix.rows]
     base_cols = list(zip(*base))
     e_lo, term = Fraction(0), Fraction(1)
     for i in range(1, 52):

@@ -172,11 +172,13 @@ def _times_completions(weights: list, counts: list) -> list:
 
 
 def _leaf_bottom(values, k: int) -> list:
-    """Allowed-color vectors of leaves: all ones for STAR, else an indicator."""
-    return [
-        [1] * k if v == STAR else [int(c == v) for c in range(1, k + 1)]
-        for v in map(int, values)
-    ]
+    """Allowed-color vectors of leaves: all ones for STAR, else an indicator.
+
+    The k + 1 distinct vectors are built once and shared between leaves;
+    `count_levels` and its callers only read them.
+    """
+    vectors = [[int(v == STAR or c == v) for c in range(1, k + 1)] for v in range(k + 1)]
+    return [vectors[v] for v in np.asarray(values).tolist()]
 
 
 def root_marginal(

@@ -349,9 +349,9 @@ def _run_dynamics(config: ExperimentConfig):
         matrix = dynamics.build_transition_matrix(shape, k, block_depth)
         info = dynamics.stationary_and_gap(matrix)
         symmetric = all(
-            matrix.entry(i, j) == matrix.entry(j, i)
-            for i in range(matrix.size)
-            for j in matrix.rows[i]
+            matrix.rows[j].get(i) == num
+            for i, row in enumerate(matrix.rows)
+            for j, num in row.items()
         )
         try:
             t_mix = dynamics.mixing_time_exact(matrix)
@@ -382,12 +382,18 @@ def _run_dynamics(config: ExperimentConfig):
 
 
 def _write_matrix_csv(matrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row_state,col_state,numerator,denominator\n")
-        for i, row in enumerate(matrix.rows):
-            for j in sorted(row):
-                val = row[j]
-                fh.write(f"{i},{j},{val.numerator},{val.denominator}\n")
+    """One line per nonzero entry, as a reduced fraction, columns sorted."""
+    d = matrix.denominator
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("row_state,col_state,numerator,denominator\n")
+            for i, row in enumerate(matrix.rows):
+                for j in sorted(row):
+                    num = row[j]
+                    g = math.gcd(num, d)
+                    fh.write(f"{i},{j},{num // g},{d // g}\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --matrix-out file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

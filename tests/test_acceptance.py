@@ -214,9 +214,9 @@ def test_criterion_07_dynamics_exactness():
     matrix = build_transition_matrix(shape, k, 0)
     assert matrix.size == 36
     for i, row in enumerate(matrix.rows):
-        assert sum(row.values()) == 1
+        assert sum(row.values()) == matrix.denominator
         for j, val in row.items():
-            assert matrix.entry(j, i) == val
+            assert matrix.rows[j].get(i) == val
     info = stationary_and_gap(matrix)
     assert info["is_uniform_stationary"]
     assert info["spectral_gap"] > 0

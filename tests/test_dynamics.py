@@ -446,10 +446,10 @@ def test_transition_matrix_rows_are_distributions_and_symmetric():
     for block_depth in (0, 1):
         matrix = build_transition_matrix(TreeShape(2, 1), 3, block_depth)
         for i, row in enumerate(matrix.rows):
-            assert sum(row.values()) == 1
+            assert sum(row.values()) == matrix.denominator
             for j, val in row.items():
                 assert val > 0
-                assert matrix.entry(j, i) == val
+                assert matrix.rows[j].get(i) == val
         assert matrix.entry(0, 0) >= Fraction(1, matrix.size)
 
 
@@ -494,15 +494,20 @@ def oracle_transition_rows(shape: TreeShape, k: int, block_depth: int) -> list[d
 )
 def test_matrix_from_groups_matches_completion_search(branching, depth, k, block_depth):
     # same Fractions, and each row lists its columns in the same order, so
-    # every consumer that walks the rows (the CSV dump included) is unchanged
+    # every consumer that walks the rows (the CSV dump included) is unchanged;
+    # the numerators are ints over the least common denominator
     shape = TreeShape(branching, depth)
     matrix = build_transition_matrix(shape, k, block_depth)
     expected = oracle_transition_rows(shape, k, block_depth)
     assert matrix.states == tuple(enumerate_states(shape, k))
     assert len(matrix.rows) == len(expected)
-    for got, want in zip(matrix.rows, expected):
-        assert list(got.items()) == list(want.items())
-        assert all(type(j) is int and type(val) is Fraction for j, val in got.items())
+    for i, (got, want) in enumerate(zip(matrix.rows, expected)):
+        assert [(j, matrix.entry(i, j)) for j in got] == list(want.items())
+        assert all(type(j) is int and type(val) is int for j, val in got.items())
+    assert type(matrix.denominator) is int
+    assert matrix.denominator == math.lcm(
+        *(val.denominator for want in expected for val in want.values())
+    )
 
 
 def test_full_depth_matrix_rows_are_exactly_uniform():
@@ -513,9 +518,9 @@ def test_full_depth_matrix_rows_are_exactly_uniform():
     ]:
         matrix = build_transition_matrix(shape, k, block_depth)
         uniform = Fraction(1, matrix.size)
-        for row in matrix.rows:
+        for i, row in enumerate(matrix.rows):
             assert len(row) == matrix.size
-            assert all(val == uniform for val in row.values())
+            assert all(matrix.entry(i, j) == uniform for j in row)
         assert mixing_time_exact(matrix) == 1
         info = stationary_and_gap(matrix)
         assert info["is_uniform_stationary"]
@@ -580,13 +585,25 @@ def test_mixing_time_meets_threshold_definition():
     assert worst_tv(after) <= threshold + 1e-12
 
 
-def make_matrix(rows, shape=TreeShape(2, 0), k=2, block_depth=0):
+def make_matrix(rows, denominator, shape=TreeShape(2, 0), k=2, block_depth=0):
+    """A matrix from integer rows {column: numerator} over `denominator`."""
     states = tuple((i,) for i in range(len(rows)))
-    return TransitionMatrix(shape, k, block_depth, states, tuple(rows))
+    return TransitionMatrix(shape, k, block_depth, states, tuple(rows), denominator)
+
+
+def two_state_matrix(p: Fraction) -> TransitionMatrix:
+    """The two-state chain that flips with probability p, over p's denominator."""
+    d, flip = p.denominator, p.numerator
+    return make_matrix([{0: d - flip, 1: flip}, {0: flip, 1: d - flip}], d)
+
+
+# TV(1) = lam/2 for the two-state chain with flip probability (1 - lam)/2;
+# lam sits 4e-19 above 1/e, deep inside the float rounding bound
+NEAR_THRESHOLD_FLIP = (1 - Fraction(367879441171442322, 10**18)) / 2
 
 
 def test_disconnected_chain_is_reported_not_mixed():
-    reducible = make_matrix([{0: Fraction(1)}, {1: Fraction(1)}])
+    reducible = make_matrix([{0: 1}, {1: 1}], 1)
     assert not is_ergodic(reducible)
     with pytest.raises(NonErgodicChainError):
         mixing_time_exact(reducible)
@@ -618,11 +635,9 @@ def test_certified_mixing_time_matches_integer_path(
 
 
 def test_mixing_time_near_threshold_falls_back_to_integers(monkeypatch):
-    # TV(1) = lam/2 for the two-state chain with flip probability (1 - lam)/2;
-    # lam sits 4e-19 above 1/e, deep inside the float rounding bound
-    lam = Fraction(367879441171442322, 10**18)
-    p = (1 - lam) / 2
-    matrix = make_matrix([{0: 1 - p, 1: p}, {0: p, 1: 1 - p}])
+    p = NEAR_THRESHOLD_FLIP
+    matrix = two_state_matrix(p)
+    assert matrix.entry(0, 1) == p and matrix.entry(0, 0) == 1 - p
     integer_path = dynamics._mixing_time_integer
     calls = []
 
@@ -636,8 +651,40 @@ def test_mixing_time_near_threshold_falls_back_to_integers(monkeypatch):
     assert integer_path(matrix) == 2
 
 
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth",
+    [(2, 1, 3, 0), (2, 1, 4, 0), (2, 2, 3, 0), (2, 2, 3, 1), (3, 1, 4, 0), (2, 2, 3, 2)],
+)
+def test_to_dense_rounds_every_entry_like_its_fraction(branching, depth, k, block_depth):
+    # mixing_time_exact's error bound needs fl(P) correctly rounded entrywise
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    assert_dense_is_rounded_fractions(matrix)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        NEAR_THRESHOLD_FLIP,
+        # both entries round wrong if numerator and denominator are
+        # rounded to floats before dividing
+        Fraction(1400656654617924231, 2051759417656128434),
+    ],
+)
+def test_to_dense_rounds_a_denominator_beyond_double_precision(p):
+    assert p.denominator > 2**53
+    assert_dense_is_rounded_fractions(two_state_matrix(p))
+
+
+def assert_dense_is_rounded_fractions(matrix):
+    dense = matrix.to_dense()
+    assert dense.dtype == np.float64
+    for i in range(matrix.size):
+        for j in range(matrix.size):
+            assert dense[i, j] == float(matrix.entry(i, j)), (i, j)
+
+
 def test_mixing_time_state_guard():
-    big = make_matrix([{i: Fraction(1)} for i in range(401)])
+    big = make_matrix([{i: 1} for i in range(401)], 1)
     with pytest.raises(CapacityError):
         mixing_time_exact(big)
 

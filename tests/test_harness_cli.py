@@ -1,6 +1,7 @@
 """Experiment harness and command-line front end."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -572,6 +573,77 @@ def test_cli_dynamics_exact_with_matrix_export(tmp_path, capsys):
         assert matrix.entry(i, j) == Fraction(num, den)
         seen += 1
     assert seen == sum(len(row) for row in matrix.rows)
+
+
+# SHA-256 of the stdout and of the --matrix-out CSV of
+# `dynamics --exact --format json`, per (delta, n, k, block_depth)
+DYNAMICS_EXACT_DIGESTS = {
+    (2, 1, 3, 0): ("5aa0a130e4c4c593041fb1fd0b659c24493c51b2933e7fb2ccb8947d166f3fb3",
+                   "1f90c1a186634fd69b253893afd2c92204d3aa6ddd810b9cbcad53ed451b53a9"),
+    (2, 2, 3, 1): ("9e84bc807992abf4bed4737114c294134a5f2958ec8605735893ec6f264e025b",
+                   "10f28c6638fa91ebb7f537cbce9048ba5e6794d82d39e7a02ce6050a60f8226f"),
+    (2, 1, 4, 0): ("cccce719a1cd72c37dcb8bc48bc2d355012378df3569a7b9caa7b8c480b21663",
+                   "316eb6b2bf6f52c117f9cb674b705d1a95eb0f24066962bf91002b1ea87c8d0a"),
+}
+
+
+@pytest.mark.parametrize("delta, n, k, block_depth", sorted(DYNAMICS_EXACT_DIGESTS))
+def test_cli_dynamics_exact_output_is_byte_stable(tmp_path, capsys, delta, n, k, block_depth):
+    out_csv = tmp_path / "matrix.csv"
+    code, out, _ = run_cli(
+        capsys, "dynamics", "--delta", str(delta), "--n", str(n), "--k", str(k),
+        "--block-depth", str(block_depth), "--exact", "--format", "json",
+        "--matrix-out", str(out_csv),
+    )
+    assert code == 0
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(out_csv.read_bytes()).hexdigest())
+    assert digests == DYNAMICS_EXACT_DIGESTS[(delta, n, k, block_depth)]
+
+
+def test_cli_marginal_exact_output_is_byte_stable(tmp_path, capsys):
+    # a proper leaf row of the delta=3, depth-8, k=4 tree, broadcast top-down
+    gen = np.random.default_rng(2024)
+    level = gen.integers(1, 5, size=1)
+    for _ in range(8):
+        parents = np.repeat(level, 3)
+        r = gen.integers(1, 4, size=parents.size)
+        level = r + (r >= parents)
+    leaves = tmp_path / "leaves.txt"
+    leaves.write_text(",".join(str(int(v)) for v in level) + "\n")
+    code, out, _ = run_cli(
+        capsys, "marginal", "--delta", "3", "--k", "4", "--depth", "8",
+        "--leaves", str(leaves), "--exact",
+    )
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "f556e942eaaee92954d324785d78ab6d8d5f5ad6cf8fa0b4750037650c8e52f0")
+
+
+def test_cli_matrix_out_in_missing_directory_exits_2_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the transition matrix must not be built")
+
+    monkeypatch.setattr(dynamics, "build_transition_matrix", never)
+    target = tmp_path / "missing_dir" / "m.csv"
+    code, out, err = run_cli(
+        capsys, "dynamics", "--delta", "2", "--k", "3", "--n", "1",
+        "--block-depth", "0", "--exact", "--matrix-out", str(target),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing_dir" in err
+    assert not target.parent.exists()
+
+
+def test_cli_matrix_out_write_failure_exits_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    code, _, err = run_cli(
+        capsys, "dynamics", "--delta", "2", "--k", "3", "--n", "1",
+        "--block-depth", "0", "--exact", "--matrix-out", str(tmp_path),
+    )
+    assert code == 2 and err.startswith("error: cannot write --matrix-out file")
 
 
 def test_cli_dynamics_exact_guard_trips_before_building_the_matrix(capsys, monkeypatch):

@@ -2,9 +2,13 @@
 
 Adding or removing a public name must edit this list, and a removal must be
 recorded in CHANGES.md.  `__all__` is written out by hand, so it lists
-neither the submodules the package imports nor `annotations`.
+neither the submodules the package imports nor `annotations`.  The fields
+of a public dataclass whose format has changed before are pinned too, so a
+change to that format must edit this file just as a name change does.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import treecolor
 
@@ -38,3 +42,12 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(treecolor.__all__) == PUBLIC_NAMES
     assert all(hasattr(treecolor, name) for name in treecolor.__all__)
+
+
+TRANSITION_MATRIX_FIELDS = ["shape", "k", "block_depth", "states", "rows", "denominator"]
+
+
+def test_transition_matrix_fields_are_pinned():
+    # rows hold {column: int numerator} over the one int denominator
+    fields = [f.name for f in dataclasses.fields(treecolor.TransitionMatrix)]
+    assert fields == TRANSITION_MATRIX_FIELDS
