@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -45,7 +46,10 @@ _COMMON = {
 _CONFIG_LEVEL = frozenset({"samples", *_COMMON})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `parse_args` keeps no state on it,
+    so every `main` call reuses the tree of subcommands and flags."""
     parser = argparse.ArgumentParser(
         prog="treecolor",
         description="Simulator for colorings of complete trees: exact root "

@@ -104,11 +104,14 @@ def _hamming_distances(
     its pair index, its first-copy color a and its partner color b, and each
     of its children draws u uniform on [k]\\{a}, surviving as (b, a) when
     u = b -- the rule of `coupled_leaf_rows`.  Agreeing vertices are never
-    drawn.
+    drawn.  At k = 2 every child of a disagreeing vertex disagrees, so every
+    leaf does and nothing is drawn.
     """
     c1, c2 = _check_roots(k, c1, c2)
     if c1 == c2:
         return np.zeros(n, dtype=np.int64)
+    if k == 2:
+        return np.full(n, shape.leaf_count, dtype=np.int64)
     gen = rng.generator
     b = shape.branching
     pair = np.arange(n)
@@ -124,6 +127,20 @@ def _hamming_distances(
     return np.bincount(pair, minlength=n)
 
 
+def _frontier_elems(shape: TreeShape, k: int) -> int:
+    """Array elements one pair may take in `_hamming_distances`, as
+    `batch_sums` sizes its chunks.
+
+    Where the frontier cannot grow (branching <= k-1, mean offspring at
+    most 1) a level holds about `branching` children per pair, so chunks
+    are sized by that.  Where it grows they stay leaf-sized: bigger chunks
+    measured slower there and took far more memory.
+    """
+    if shape.branching <= k - 1:
+        return shape.branching
+    return shape.leaf_count
+
+
 def estimate_hamming(
     shape: TreeShape, k: int, c1: int, c2: int, samples: int, rng: RandomSource
 ) -> Estimate:
@@ -131,9 +148,11 @@ def estimate_hamming(
 
     Draws only the disagreement frontier (see `_hamming_distances`), so the
     cost follows the number of disagreeing vertices, about
-    (branching/(k-1))**depth per pair, not the leaf count.
+    (branching/(k-1))**depth per pair, not the leaf count.  Chunks hold
+    BATCH_ELEMS // branching pairs where branching <= k-1 and
+    BATCH_ELEMS // leaf_count pairs otherwise (see `_frontier_elems`).
     """
-    sums = batch_sums(samples, shape.leaf_count,
+    sums = batch_sums(samples, _frontier_elems(shape, k),
                       lambda m: _hamming_distances(shape, k, c1, c2, m, rng))
     return mean_estimate(*sums, samples)
 
@@ -188,10 +207,11 @@ def hamming_tail_tree(
 ) -> TailEstimate:
     """Pr[number of disagreeing leaves > threshold] under the tree coupling.
 
-    Like `estimate_hamming`, draws only the disagreement frontier.
+    Like `estimate_hamming`, draws only the disagreement frontier, in
+    chunks sized by `_frontier_elems`.
     """
     successes, _ = batch_sums(
-        samples, shape.leaf_count,
+        samples, _frontier_elems(shape, k),
         lambda m: _hamming_distances(shape, k, c1, c2, m, rng) > threshold)
     return tail_estimate(threshold, int(successes), samples)
 

@@ -37,7 +37,7 @@ from treecolor import (
     single_disagreement_report,
     upward_channel_tv,
 )
-from treecolor import couplings
+from treecolor import couplings, estimators
 from treecolor.couplings import (
     CouplingPair,
     _hamming_distances,
@@ -302,9 +302,8 @@ def test_frontier_validation_matches_dense_sampler():
             sampler(shape, 3, 1, 4, 5, RandomSource(0))
 
 
-def test_estimate_hamming_crosses_chunk_boundary(monkeypatch):
-    # 4096 leaves give chunks of 976 pairs; 2000 samples take three chunks
-    shape = TreeShape(2, 12)
+def _record_chunks(monkeypatch):
+    """The pair count of every `_hamming_distances` call, in order."""
     chunks = []
 
     def recording(*args):
@@ -312,6 +311,16 @@ def test_estimate_hamming_crosses_chunk_boundary(monkeypatch):
         return _hamming_distances(*args)
 
     monkeypatch.setattr(couplings, "_hamming_distances", recording)
+    return chunks
+
+
+def test_estimate_hamming_crosses_chunk_boundary(monkeypatch):
+    # branching 2 <= k - 1, so the frontier cannot grow and chunks hold
+    # BATCH_ELEMS // branching pairs; a budget of 1952 elements gives chunks
+    # of 976 pairs, and 2000 samples take three of them
+    monkeypatch.setattr(estimators, "BATCH_ELEMS", 2 * 976)
+    shape = TreeShape(2, 12)
+    chunks = _record_chunks(monkeypatch)
     est = estimate_hamming(shape, 3, 1, 2, 2000, RandomSource(95))
     assert chunks == [976, 976, 48]
     assert est.n == 2000
@@ -319,6 +328,37 @@ def test_estimate_hamming_crosses_chunk_boundary(monkeypatch):
     h = np.concatenate([_hamming_distances(shape, 3, 1, 2, m, rng) for m in chunks])
     assert est.mean == pytest.approx(h.mean(), rel=1e-12)
     assert abs(est.mean - 1.0) < 4 * est.stderr  # (delta/(k-1))^depth = 1
+
+
+def test_frontier_chunks_by_regime(monkeypatch):
+    chunks = _record_chunks(monkeypatch)
+    # critical (2, 12, 3): 2000 samples fit in one chunk of BATCH_ELEMS // 2
+    estimate_hamming(TreeShape(2, 12), 3, 1, 2, 2000, RandomSource(96))
+    hamming_tail_tree(TreeShape(2, 12), 3, 1, 2, 3, 2000, RandomSource(96))
+    assert chunks == [2000, 2000]
+    # supercritical (4, 6, 3): the frontier grows, so chunks stay leaf-sized,
+    # BATCH_ELEMS // 4096 = 976 pairs
+    chunks.clear()
+    estimate_hamming(TreeShape(4, 6), 3, 1, 2, 1000, RandomSource(97))
+    hamming_tail_tree(TreeShape(4, 6), 3, 1, 2, 40, 1000, RandomSource(97))
+    assert chunks == [976, 24, 976, 24]
+
+
+def test_frontier_at_two_colors_is_every_leaf(monkeypatch):
+    # at k = 2 every child of a disagreeing vertex disagrees; nothing is drawn
+    shape = TreeShape(2, 6)
+    rng = RandomSource(98)
+    state = rng.generator.bit_generator.state
+    h = _hamming_distances(shape, 2, 1, 2, 5, rng)
+    assert h.tolist() == [64] * 5
+    assert rng.generator.bit_generator.state == state
+    est = estimate_hamming(shape, 2, 2, 1, 300, rng)
+    assert est.mean == 64 and est.stderr == 0 and est.n == 300
+    assert hamming_tail_tree(shape, 2, 1, 2, 63.5, 300, rng).probability == 1
+    assert hamming_tail_tree(shape, 2, 1, 2, 64, 300, rng).probability == 0
+    assert _hamming_distances(shape, 2, 1, 1, 3, rng).tolist() == [0] * 3
+    with pytest.raises(ValidationError, match=r"c2=3 out of range 1..2"):
+        _hamming_distances(shape, 2, 1, 3, 5, rng)
 
 
 def test_branching_mean_formula():

@@ -549,15 +549,11 @@ def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
     eigs = np.linalg.eigvalsh(dense)
     lam2 = float(eigs[-2])
     got = dynamics._second_eigenvalue_power(dense)
-    # The iteration stops once the Rayleigh quotient of (I+P)/2 moves by
-    # less than 1e-10 in a step.  Its error then shrinks by about rho**2
-    # per step, rho the ratio of the next distinct eigenvalue of (I+P)/2 to
-    # the second, so it is near 1e-10 / (1 - rho**2), doubled back on P's
-    # scale; allow four times that.  The quotient of the symmetric kernel
-    # approaches lambda_2 from below.
-    third = float(eigs[eigs < lam2 - 1e-9][-1])
-    rho = (1 + third) / (1 + lam2)
-    assert got == pytest.approx(lam2, abs=4 * 2 * 1e-10 / (1 - rho**2))
+    # The iteration stops once the residual |((I+P)/2)x - mu x| is at most
+    # 1e-10, which puts the Rayleigh quotient of the symmetric kernel within
+    # about 1e-20 / gap of lambda_2, from below; 1e-11 leaves room for
+    # rounding on both block depths.
+    assert got == pytest.approx(lam2, abs=1e-11)
     assert got <= lam2 + 1e-12
 
 

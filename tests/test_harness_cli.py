@@ -1,6 +1,7 @@
 """Experiment harness and command-line front end."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -895,3 +896,57 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
+
+
+def test_cli_builds_one_parser_and_carries_no_state_between_calls(
+    tmp_path, capsys, monkeypatch
+):
+    leaves = tmp_path / "leaves.txt"
+    leaves.write_text("1,2,3,1\n")  # four leaves on a two-leaf tree: exit 2
+    runs = [
+        ("bias", 0, ["bias", "--delta", "2", "--k", "3", "--depth-range", "1..4",
+                     "--color", "1", "--samples", "300", "--seed", "31"]),
+        ("couple", 0, ["couple", "--delta", "2", "--k", "3", "--depth", "6",
+                       "--c1", "1", "--c2", "2", "--mode", "down",
+                       "--samples", "400", "--seed", "32"]),
+        ("dynamics", 0, ["dynamics", "--delta", "2", "--n", "1", "--k", "3",
+                         "--block-depth", "0", "--exact"]),
+        ("marginal", 2, ["marginal", "--delta", "2", "--k", "3", "--depth", "1",
+                         "--leaves", str(leaves), "--exact"]),
+        ("bias", 0, None),  # the first run again, after the others
+    ]
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    first = {}
+    built = None
+    for name, want, argv in runs:
+        argv = argv or first[name][0]
+        path = tmp_path / f"{name}.out"
+        path.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == want and out == ""
+        got = (argv, path.read_bytes() if path.exists() else b"", err)
+        assert got == first.setdefault(name, got)
+        if built is None:
+            built = len(constructed)
+    # the first call built the parser and its subparsers; no call since has
+    assert built > 0 and len(constructed) == built
+    for argv, body, err in first.values():
+        path = tmp_path / "subprocess.out"
+        path.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecolor.cli", *argv, "--out", str(path)],
+            capture_output=True,
+            text=True,
+            env=cli_subprocess_env(),
+        )
+        assert (path.read_bytes() if path.exists() else b"") == body
+        assert proc.stderr == err and proc.stdout == ""
+    assert [body != b"" for _, body, _ in first.values()] == [True, True, True, False]
