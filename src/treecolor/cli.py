@@ -50,15 +50,18 @@ _CONFIG_LEVEL = frozenset({"samples", *_COMMON})
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: `parse_args` keeps no state on it,
     so every `main` call reuses the tree of subcommands and flags."""
+    # allow_abbrev=False throughout: a prefix such as --dep must not stand
+    # for --depth, nor --depth for --depth-range
     parser = argparse.ArgumentParser(
         prog="treecolor",
+        allow_abbrev=False,
         description="Simulator for colorings of complete trees: exact root "
                     "marginals, broadcast sampling, couplings, and block "
                     "dynamics diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, kind in KINDS.items():
-        p = sub.add_parser(name, help=kind.help)
+        p = sub.add_parser(name, help=kind.help, allow_abbrev=False)
         for flag, (caster, _required, _default) in {**kind.params, **_COMMON}.items():
             arg = "--" + flag.replace("_", "-")
             if caster is _to_bool:

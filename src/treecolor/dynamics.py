@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -322,11 +322,17 @@ class TransitionMatrix:
 
     def to_dense(self) -> np.ndarray:
         """float64 entries, each the correctly rounded value of its fraction:
-        Python's int / int true division rounds correctly."""
+        Python's int / int true division rounds correctly.  Built on the
+        first call; every call returns that one read-only array."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         dense = np.zeros((self.size, self.size))
         d = self.denominator
         for i, row in enumerate(self.rows):
             dense[i, list(row)] = [num / d for num in row.values()]
+        dense.setflags(write=False)
         return dense
 
 

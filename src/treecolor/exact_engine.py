@@ -8,7 +8,12 @@ up, color c extends each child's subtree in (the child's total - the
 child's count for c) ways, and these multiply over the children.  The
 root law is the root's counts normalized.  Extension counts,
 interior-vertex marginals and the heat-bath block move in `dynamics`
-read the same counts.
+read the same counts.  The kernel has two bodies with the same exact
+integers, picked by the number of bottom vectors: large bottoms compute
+each level as one numpy expression over an object array of Python ints;
+small ones, such as the frontier of a heat-bath block, keep a list loop,
+where numpy's fixed cost per call would outweigh the per-vertex products
+it saves.
 
 The exact laws of upward messages live here too.  A vertex's message
 (its counts, normalized) depends only on the leaves below it, which given
@@ -141,16 +146,48 @@ def tv_distance(d1: ColorDistribution, d2: ColorDistribution):
 # the counting kernel
 
 
-def count_levels(bottom: list, branching: int, height: int) -> list:
+#: bottoms of at least this many vectors take the array body of `count_levels`
+#: (the two bodies broke even between 9 and 16 vectors across shapes)
+_ARRAY_BODY_MIN_VECTORS = 16
+
+
+def count_levels(bottom, branching: int, height: int) -> list:
     """Proper-coloring counts of every vertex of a complete subtree, by color.
 
     `bottom` holds one 0/1 allowed-color vector per bottom vertex, left to
-    right.  A vertex above colored c extends each child's subtree in (the
-    sum of the child's counts - the child's count for c) ways, so its
-    counts are the products of those over its children.  Returns every
-    level of integer counts, bottom level first; the last level holds the
-    top vertex alone.
+    right, as a list of lists or an integer array.  A vertex above colored
+    c extends each child's subtree in (the sum of the child's counts - the
+    child's count for c) ways, so its counts are the products of those
+    over its children.  Returns every level of exact integer counts,
+    bottom level first; the last level holds the top vertex alone, and
+    `levels[h][i][c]` is a Python int.
+
+    Two bodies compute the same integers.  From _ARRAY_BODY_MIN_VECTORS
+    bottom vectors up, each level is one numpy expression over an object
+    array of Python ints, and the levels are (width, k) object arrays.
+    Below it a list loop makes the products one vertex at a time, and the
+    levels are lists of lists: the small bottoms of the heat-bath moves in
+    `dynamics` would pay more in numpy's per-call cost than they save.
     """
+    if len(bottom) >= _ARRAY_BODY_MIN_VECTORS:
+        return _count_levels_array(bottom, branching, height)
+    return _count_levels_list(
+        bottom.tolist() if isinstance(bottom, np.ndarray) else bottom, branching, height
+    )
+
+
+def _count_levels_array(bottom, branching: int, height: int) -> list:
+    counts = np.asarray(bottom, dtype=object)  # Python ints: never wraps
+    k = counts.shape[1]
+    levels = [counts]
+    for _ in range(height):
+        completions = counts.sum(axis=1, keepdims=True) - counts
+        counts = completions.reshape(-1, branching, k).prod(axis=1)
+        levels.append(counts)
+    return levels
+
+
+def _count_levels_list(bottom: list, branching: int, height: int) -> list:
     k = len(bottom[0])
     levels = [bottom]
     for _ in range(height):
@@ -165,20 +202,16 @@ def count_levels(bottom: list, branching: int, height: int) -> list:
     return levels
 
 
-def _times_completions(weights: list, counts: list) -> list:
+def _times_completions(weights: list, counts) -> list:
     """weights[c] times the colorings of a subtree whose root avoids color c+1."""
     total = sum(counts)
     return [w * (total - m) for w, m in zip(weights, counts)]
 
 
-def _leaf_bottom(values, k: int) -> list:
-    """Allowed-color vectors of leaves: all ones for STAR, else an indicator.
-
-    The k + 1 distinct vectors are built once and shared between leaves;
-    `count_levels` and its callers only read them.
-    """
-    vectors = [[int(v == STAR or c == v) for c in range(1, k + 1)] for v in range(k + 1)]
-    return [vectors[v] for v in np.asarray(values).tolist()]
+def _leaf_bottom(values, k: int) -> np.ndarray:
+    """(leaves, k) allowed-color indicators: all ones for STAR, else one-hot."""
+    column = np.asarray(values, dtype=np.int64)[:, np.newaxis]
+    return ((column == np.arange(1, k + 1)) | (column == STAR)).astype(np.int64)
 
 
 def root_marginal(

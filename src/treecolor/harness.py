@@ -382,16 +382,24 @@ def _run_dynamics(config: ExperimentConfig):
 
 
 def _write_matrix_csv(matrix, path: str) -> None:
-    """One line per nonzero entry, as a reduced fraction, columns sorted."""
+    """One line per nonzero entry, as a reduced fraction, columns sorted.
+
+    Each distinct numerator is reduced once, and the text is written in
+    one call.
+    """
     d = matrix.denominator
+    fractions = {}
+    for row in matrix.rows:
+        for num in row.values():
+            if num not in fractions:
+                g = math.gcd(num, d)
+                fractions[num] = f"{num // g},{d // g}\n"
+    text = "row_state,col_state,numerator,denominator\n" + "".join(
+        f"{i},{j},{fractions[row[j]]}" for i, row in enumerate(matrix.rows) for j in sorted(row)
+    )
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("row_state,col_state,numerator,denominator\n")
-            for i, row in enumerate(matrix.rows):
-                for j in sorted(row):
-                    num = row[j]
-                    g = math.gcd(num, d)
-                    fh.write(f"{i},{j},{num // g},{d // g}\n")
+            fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write --matrix-out file: {exc}") from None
 

@@ -144,20 +144,61 @@ class PartialLeafColoring:
         """Parse one comma-separated line of leaf colors.
 
         Whitespace around an entry is ignored and empty entries are
-        skipped; every other entry must be a base-10 integer, parsed in one
-        numpy conversion to int64 and then checked by the class, so a bad
-        or out-of-range entry raises ValidationError wherever it sits.
+        skipped; every other entry must be a base-10 integer, read as
+        int64 and then checked by the class, so a bad or out-of-range
+        entry raises ValidationError wherever it sits.  A canonical line,
+        as `to_text` writes it, is read over its bytes; any other line
+        goes through `np.loadtxt`, and both give the same integers.
         """
-        if ",," in "," + "".join(line.split()) + ",":  # an empty entry somewhere
-            line = ",".join(p for p in line.split(",") if p.strip())
-        line = line.strip()
-        if not line:
-            raise ValidationError("empty leaf-coloring line")
-        try:
-            vals = np.loadtxt([line], dtype=np.int64, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ValidationError(f"bad leaf-coloring entry: {exc}") from None
-        return cls(k, vals)
+        values = _canonical_entries(line)
+        return cls(k, _loadtxt_entries(line) if values is None else values)
+
+
+#: longest entry `_canonical_entries` reads: 18 digits stay below 2**63
+_CANONICAL_MAX_DIGITS = 18
+_COMMA, _ZERO = ord(","), ord("0")
+
+
+def _canonical_entries(line: str) -> np.ndarray | None:
+    """int64 entries of a canonical line, or None for any other line.
+
+    Canonical: ASCII digit runs of at most _CANONICAL_MAX_DIGITS joined by
+    single commas, optionally ending in one LF or CR LF.  The entries
+    are summed one digit position at a time, counted from each entry's
+    end, so a line of n entries costs a few numpy passes over its bytes.
+    """
+    if line.endswith("\n"):
+        line = line[:-1].removesuffix("\r")
+    if not line or not line.isascii():
+        return None
+    raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    commas = np.flatnonzero(raw == _COMMA)
+    digits = raw - np.uint8(_ZERO)  # non-digits wrap past 9
+    if np.count_nonzero(digits <= 9) != raw.size - commas.size:
+        return None
+    ends = np.append(commas, raw.size)
+    lengths = ends - np.append(-1, commas) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _CANONICAL_MAX_DIGITS:
+        return None
+    values = digits[ends - 1].astype(np.int64)
+    for position in range(1, longest):
+        place = np.where(lengths > position, digits[ends - 1 - position], 0)
+        values += np.int64(10**position) * place
+    return values
+
+
+def _loadtxt_entries(line: str) -> np.ndarray:
+    """int64 entries of any line `from_text` accepts, through `np.loadtxt`."""
+    if ",," in "," + "".join(line.split()) + ",":  # an empty entry somewhere
+        line = ",".join(p for p in line.split(",") if p.strip())
+    line = line.strip()
+    if not line:
+        raise ValidationError("empty leaf-coloring line")
+    try:
+        return np.loadtxt([line], dtype=np.int64, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValidationError(f"bad leaf-coloring entry: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

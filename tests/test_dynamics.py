@@ -674,6 +674,8 @@ def test_to_dense_rounds_a_denominator_beyond_double_precision(p):
 def assert_dense_is_rounded_fractions(matrix):
     dense = matrix.to_dense()
     assert dense.dtype == np.float64
+    # built once: later calls return the same read-only array
+    assert matrix.to_dense() is dense and not dense.flags.writeable
     for i in range(matrix.size):
         for j in range(matrix.size):
             assert dense[i, j] == float(matrix.entry(i, j)), (i, j)

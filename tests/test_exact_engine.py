@@ -33,12 +33,16 @@ from treecolor import (
     tv_root,
     vertex_conditional_marginal,
 )
+from treecolor import exact_engine
 from treecolor.broadcast_sampler import (
     _table_entries,
     posterior_rows,
 )
 from treecolor.exact_engine import (
+    _ARRAY_BODY_MIN_VECTORS,
     _color_swaps,
+    _count_levels_array,
+    _count_levels_list,
     _fold_factors,
     _message_law,
     _message_table,
@@ -447,6 +451,74 @@ def test_count_extensions_matches_enumeration():
             if all(r == STAR or combo[1 + i] == r for i, r in enumerate(row)):
                 count += 1
         assert count_extensions(shape, k, x) == count
+
+
+def as_lists(levels):
+    return [[list(vec) for vec in level] for level in levels]
+
+
+@pytest.mark.parametrize("branching, depth, k", [(2, 10, 3), (3, 6, 4), (5, 3, 6)])
+def test_count_levels_bodies_agree_on_both_sides_of_the_threshold(branching, depth, k):
+    rng = np.random.default_rng(branching * 100 + k)
+    for trial in range(3):
+        bottom = (rng.random((branching**depth, k)) < 0.6).astype(np.int64)
+        bottom[rng.random(len(bottom)) < 0.2] = 1  # STAR: every color allowed
+        bottom[rng.integers(len(bottom), size=trial)] = 0  # no color allowed
+        for height in range(depth + 1):
+            rows = bottom[: branching**height]
+            expected = _count_levels_list(rows.tolist(), branching, height)
+            got = _count_levels_array(rows, branching, height)
+            assert as_lists(got) == expected, (trial, height)
+            assert all(type(x) is int for level in got for vec in level for x in vec)
+            assert as_lists(count_levels(rows, branching, height)) == expected
+            assert as_lists(count_levels(rows.tolist(), branching, height)) == expected
+    assert branching**depth >= _ARRAY_BODY_MIN_VECTORS > branching
+
+
+def test_count_levels_all_star_counts_exceed_int64():
+    # an all-STAR tree has k (k-1)^(V-1) proper colorings: 3 * 2^2046 here
+    shape, k = TreeShape(2, 10), 3
+    assert shape.leaf_count >= _ARRAY_BODY_MIN_VECTORS
+    total = k * (k - 1) ** (shape.vertex_count - 1)
+    assert total > 2**63
+    top = count_levels(np.ones((shape.leaf_count, k), dtype=np.int64), 2, 10)[-1][0]
+    assert sum(top) == total
+    stars = PartialLeafColoring(k, np.zeros(shape.leaf_count, dtype=np.int16))
+    assert count_extensions(shape, k, stars) == total
+
+
+@pytest.mark.parametrize("branching, depth, k", [(2, 5, 3), (3, 3, 4)])
+def test_counting_routes_above_the_threshold_match_the_list_body(
+    monkeypatch, branching, depth, k
+):
+    shape = TreeShape(branching, depth)
+    assert shape.leaf_count >= _ARRAY_BODY_MIN_VECTORS
+    rng = np.random.default_rng(depth)
+    rows = [rng.integers(0, k + 1, size=shape.leaf_count) for _ in range(3)]
+    rows.append(sample_leaf_rows(shape, k, 1, RandomSource(depth))[0])
+    vertices = [0, 1, branching + 1, shape.vertex_count - 1]
+
+    def run():
+        out = []
+        for row in rows:
+            x = PartialLeafColoring(k, row)
+            out.append(count_extensions(shape, k, x))
+            for u in vertices:
+                kid = None if shape.is_leaf(u) else u * branching + 1
+                for rc, pc in [(None, None), (kid, None), (None, 2)]:
+                    try:
+                        dist = vertex_conditional_marginal(
+                            shape, k, x, u, removed_child=rc, parent_color=pc
+                        )
+                        out.append(weights(dist))
+                    except InfeasibleBoundaryError:
+                        out.append(None)
+        return out
+
+    array_body = run()
+    monkeypatch.setattr(exact_engine, "_ARRAY_BODY_MIN_VECTORS", shape.leaf_count + 1)
+    assert run() == array_body
+    assert any(value is not None for value in array_body[1:])
 
 
 # ---------------------------------------------------------------------------

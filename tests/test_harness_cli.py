@@ -621,6 +621,27 @@ def test_cli_marginal_exact_output_is_byte_stable(tmp_path, capsys):
             == "f556e942eaaee92954d324785d78ab6d8d5f5ad6cf8fa0b4750037650c8e52f0")
 
 
+def test_cli_marginal_float_output_is_byte_stable(tmp_path, capsys):
+    # 19683 leaves of the delta=3, depth-9, k=4 tree, broadcast top-down,
+    # with about 70% of them then freed
+    gen = np.random.default_rng(2026)
+    level = gen.integers(1, 5, size=1)
+    for _ in range(9):
+        parents = np.repeat(level, 3)
+        r = gen.integers(1, 4, size=parents.size)
+        level = r + (r >= parents)
+    level[gen.random(level.size) < 0.7] = 0
+    leaves = tmp_path / "leaves.txt"
+    leaves.write_text(",".join(str(int(v)) for v in level) + "\n")
+    code, out, _ = run_cli(
+        capsys, "marginal", "--delta", "3", "--k", "4", "--depth", "9",
+        "--leaves", str(leaves),
+    )
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "f7438b1257e8d943cc986948980187e0ee30345e8a50f0908f9a4c3204eea11a")
+
+
 def test_cli_matrix_out_in_missing_directory_exits_2_before_building(
     tmp_path, capsys, monkeypatch
 ):
@@ -896,6 +917,29 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["couple", "--delta", "2", "--k", "3", "--dep", "4", "--c1", "1", "--c2", "2",
+      "--mode", "down", "--samples", "10"], "--dep"),
+    (["bias", "--delta", "2", "--k", "3", "--depth", "4", "--color", "1",
+      "--samples", "10"], "--depth"),
+])
+def test_cli_rejects_abbreviated_flags(capsys, argv, flag):
+    # --dep is a prefix of couple's --depth, and --depth of bias's --depth-range
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
+
+def test_cli_full_flag_names_still_parse():
+    couple = cli.build_parser().parse_args(
+        ["couple", "--delta", "2", "--k", "3", "--depth", "4", "--c1", "1", "--c2", "2"])
+    assert couple.depth == 4
+    bias = cli.build_parser().parse_args(
+        ["bias", "--delta", "2", "--k", "3", "--depth-range", "1..4", "--color", "1"])
+    assert bias.depth_range == "1..4"
 
 
 def test_cli_builds_one_parser_and_carries_no_state_between_calls(

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treecolor import (
     FullColoring,
@@ -18,7 +20,12 @@ from treecolor import (
     is_proper,
     restrict_to_subtree,
 )
-from treecolor.tree_model import STAR, check_leaf_coloring
+from treecolor.tree_model import (
+    STAR,
+    _canonical_entries,
+    _loadtxt_entries,
+    check_leaf_coloring,
+)
 
 
 def leaves(k, *values):
@@ -180,6 +187,7 @@ def test_text_round_trip():
 def test_text_parse_skips_empty_entries_and_rejects_bad_ones():
     # whitespace around entries and empty entries are skipped
     for line in ["1,,2", " , 1 , , 2 ,\n", ",1,2", "1,2,", "1\t,\t2\r\n"]:
+        assert _canonical_entries(line) is None, line
         assert list(PartialLeafColoring.from_text(line, k=3).values) == [1, 2], line
     # every other malformed entry raises, wherever it sits in the line
     for line in [",", " ,\n", "1,2#3", "1 2,3", "1,1.0", "1,x", "x,1", "1,65537",
@@ -190,6 +198,35 @@ def test_text_parse_skips_empty_entries_and_rejects_bad_ones():
     row = np.random.default_rng(31).integers(0, 4, size=5000).astype(np.int16)
     parsed = PartialLeafColoring.from_text(PartialLeafColoring(3, row).to_text(), k=3)
     assert np.array_equal(parsed.values, row)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 3)), min_size=1, max_size=40
+    ),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+def test_canonical_lines_parse_like_loadtxt(entries, newline):
+    # entries of up to 18 digits, some with leading zeros, then a line ending
+    line = ",".join(
+        str(value).zfill(min(len(str(value)) + pad, 18)) for value, pad in entries
+    ) + newline
+    got = _canonical_entries(line)
+    assert got is not None and got.dtype == np.int64
+    assert np.array_equal(got, _loadtxt_entries(line))
+    assert got.tolist() == [value for value, _ in entries]
+
+
+def test_non_canonical_lines_take_the_loadtxt_path():
+    # a non-ASCII digit, a 19-digit entry, and stray whitespace or signs
+    for line in ["1,\u0663", "1234567890123456789,1", "1 ,2", "+1,2", "1,2\r", "1,2\n\n"]:
+        assert _canonical_entries(line) is None, line
+    with pytest.raises(ValidationError, match="bad leaf-coloring entry"):
+        PartialLeafColoring.from_text("1,\u0663", k=3)
+    assert _loadtxt_entries("1234567890123456789,1").tolist() == [1234567890123456789, 1]
+    with pytest.raises(ValidationError, match="must lie in"):
+        PartialLeafColoring.from_text("1234567890123456789,1", k=3)
+    assert list(PartialLeafColoring.from_text("+1,2", k=3).values) == [1, 2]
 
 
 def test_check_leaf_coloring_size():
