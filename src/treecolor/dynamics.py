@@ -10,14 +10,24 @@ makes every move a whole-tree resample once block_depth reaches the tree
 depth; at block_depth 0 it is plain single-site Glauber.
 
 Every move goes through one in-place kernel that reads and redraws only
-the block and its outside neighbors, so a move costs O(block).  The
-kernel makes one exactly uniform draw per move: it counts the block's
-proper completions and decodes one integer below that count, taken from
-a pre-drawn 64-bit word, top-down into a completion.  A chain draws its
-vertex choices and words in batches, runs on one list of colors, keeps
-the block counts it has computed for the length of the call, and
-validates its coloring once, at exit; single moves (`heat_bath_block`,
-`step`) draw one word, copy, redraw and validate the new state.
+the block and its outside neighbors, so a move costs O(block).  Each
+block root has a plan, built once and cached (`_plan`): the block's
+vertices, the slice of the frontier's outside children, and the root's
+parent.  The kernel makes one exactly uniform draw per move: it counts
+the block's proper completions and decodes one integer below that count,
+taken from a pre-drawn 64-bit word, top-down into a completion.  The
+counts come from a memo (`_Memo`) keyed by the colors of the frontier's
+outside children, which also holds each frontier vertex's free colors
+per parent color, so a frontier vertex (and a whole move at block depth
+0) decodes with one list lookup.  The memo's subtree tables are keyed by
+the frontier masks beneath them and shared between blocks, so a block
+seen for the first time counts only the subtrees no earlier block had.
+A chain draws its vertex choices and words in batches, runs on one list
+of colors, keeps its memo for the length of the call, and validates its
+coloring once, at exit; single moves (`heat_bath_block`, `step`) read
+the same cached plans and share one memo per block shape, draw one word,
+copy, redraw and validate the new state.  The properness checks of `run_chain` and `step` raise, so
+`python -O` keeps them.
 
 On instances small enough to enumerate, the states are split once per
 block root by their colors outside the block (`_outside_groups`).  A
@@ -39,6 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +62,7 @@ from .tree_model import FullColoring, TreeShape, is_proper
 STATE_GUARD = 10**4
 _MIXING_STATE_GUARD = 400
 _MIXING_STEP_GUARD = 10_000
-_MEMO_CAP = 1 << 15  # count vectors one chain's memo keeps, whatever its length
+_MEMO_CAP = 1 << 15  # lists one chain's memo keeps (see _Memo), whatever its length
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
 
@@ -77,7 +88,7 @@ def initial_state(shape: TreeShape, k: int, rng: RandomSource) -> DynamicsState:
 def block_vertices(shape: TreeShape, v: int, block_depth: int) -> list[int]:
     """All descendants of v within distance block_depth, v included."""
     shape._check_vertex(v)
-    return _block(shape, v, block_depth)[0]
+    return sorted(_plan(shape, v, block_depth).vertices)
 
 
 def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
@@ -97,23 +108,119 @@ def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
     return v
 
 
-def _block(shape: TreeShape, v: int, block_depth: int) -> tuple[list[int], int, int]:
-    """The block under v, truncated at the leaves: its vertices in level
-    order, how many lie above its frontier (its last level), its height."""
+class _Plan(NamedTuple):
+    """What a move on one block reads of the tree, fixed by its root.
+
+    `vertices` lists the block in pre-order (a vertex, then its children's
+    subtrees left to right), and the positions in it are those of the
+    block's table (see `_Memo`).  `inner` pairs each position above the
+    frontier (the block's last level) with its children's positions, in
+    increasing order; `frontier` lists the frontier's positions.  `up` is
+    the block root's parent, -1 at the tree root, and `outside` slices
+    out the frontier's children, all outside the block and consecutive in
+    level order (none past the leaves).
+    """
+
+    vertices: tuple
+    inner: tuple
+    frontier: tuple
+    up: int
+    outside: slice
+
+
+@lru_cache(maxsize=1024)  # a plan holds one block's vertices
+def _plan(shape: TreeShape, v: int, block_depth: int) -> _Plan:
+    """The block under v, truncated at the leaves."""
     if block_depth < 0:
         raise ValidationError("block_depth must be >= 0")
-    levels = [[v]]
-    b = shape.branching
-    for _ in range(block_depth):
-        nxt = []
-        for w in levels[-1]:
-            if not shape.is_leaf(w):
-                nxt.extend(range(w * b + 1, w * b + b + 1))
-        if not nxt:
-            break
-        levels.append(nxt)
-    vertices = [w for level in levels for w in level]
-    return vertices, len(vertices) - len(levels[-1]), len(levels) - 1
+    b, n = shape.branching, shape.vertex_count
+    height, bottom = 0, v
+    while height < block_depth and bottom * b + 1 < n:  # bottom is not a leaf
+        height, bottom = height + 1, bottom * b + 1
+    vertices, inner, frontier = [], [], []
+
+    def visit(w: int, height: int) -> int:
+        p = len(vertices)
+        vertices.append(w)
+        if height:
+            inner.append((p, tuple(visit(u, height - 1) for u in range(w * b + 1, w * b + b + 1))))
+        else:
+            frontier.append(p)
+        return p
+
+    visit(v, height)
+    inner.sort()
+    # empty past the leaves: their children's indices start at n
+    outside = slice(vertices[frontier[0]] * b + 1, vertices[frontier[-1]] * b + b + 1)
+    return _Plan(tuple(vertices), tuple(inner), tuple(frontier), (v - 1) // b if v else -1, outside)
+
+
+class _Memo:
+    """The block tables one chain has built, and the subtree tables they share.
+
+    A subtree's table lists one node per vertex, in pre-order, and is
+    keyed by the masks of outside colors of the frontier vertices beneath
+    its top, in level order: those fix every node in it.  A table is its
+    top's node followed by its children's tables, so a table that misses
+    builds only the subtree tables no earlier one built, and each builds
+    one node.  A node is (select, comp, counts): `counts[c - 1]` counts
+    the colorings of the vertex's subtree with the vertex colored c, and
+    `comp[a]` those whose vertex avoids a parent colored a (a = 0: no
+    parent).  `select` is `counts` above the frontier; at a frontier
+    vertex it is one list per a of the free colors other than a, in
+    increasing order.
+
+    A move looks its block's table up by the colors of the frontier's
+    outside children, in level order; one memo serves blocks of one
+    height, as every block of a chain has, and single moves share one
+    per block shape (`_move_memo`).  Everything kept counts
+    against `_MEMO_CAP`: one per block-table key, and one per list a
+    subtree table adds (itself, and its top node's).  Past the cap, tables
+    are built and used but not kept.
+    """
+
+    __slots__ = ("b", "k", "tables", "subtrees", "size")
+
+    def __init__(self, b: int, k: int):
+        self.b, self.k = b, k
+        self.tables: dict = {}
+        self.subtrees: dict = {}
+        self.size = 0
+
+    def _keep(self, store: dict, key: tuple, table: list, lists: int) -> list:
+        if self.size + lists <= _MEMO_CAP:
+            store[key] = table
+            self.size += lists
+        return table
+
+    def table(self, key: tuple, width: int) -> list:
+        """The table of a block with `width` frontier vertices whose
+        outside children are colored `key`."""
+        b = self.b
+        masks = [0] * width
+        for i, c in enumerate(key):
+            masks[i // b] |= 1 << c
+        return self._keep(self.tables, key, self._subtree(tuple(masks)), 1)
+
+    def _subtree(self, masks: tuple) -> list:
+        """The table of the subtree with frontier masks `masks`."""
+        table = self.subtrees.get(masks)
+        if table is not None:
+            return table
+        k = self.k
+        if len(masks) == 1:
+            counts = [1 - (masks[0] >> c & 1) for c in range(1, k + 1)]
+            free = [c for c, allowed in enumerate(counts, 1) if allowed]
+            select = [[c for c in free if c != a] for a in range(k + 1)]
+            below, lists = [], k + 5
+        else:
+            width = len(masks) // self.b
+            children = [self._subtree(masks[i : i + width]) for i in range(0, len(masks), width)]
+            select = counts = count_levels([child[0][2] for child in children], self.b, 1)[1][0]
+            below, lists = [node for child in children for node in child], 3
+        total = sum(counts)
+        top = (select, [total, *(total - m for m in counts)], counts)
+        return self._keep(self.subtrees, masks, [top, *below], lists)
 
 
 def _words(gen: np.random.Generator, size: int | None = None):
@@ -131,80 +238,85 @@ def heat_bath_block(
     fresh word and returns a new state, validated once as a
     `FullColoring`; `state` is unchanged.
     """
-    shape = state.shape
-    shape._check_vertex(v)
+    state.shape._check_vertex(v)
+    return _redraw(state, _plan(state.shape, v, block_depth), rng.generator, state.time)
+
+
+def _redraw(state: DynamicsState, plan: _Plan, gen: np.random.Generator, time: int):
+    """`state` with the block of `plan` redrawn from one fresh word, at `time`."""
     values = state.coloring.values.tolist()
-    gen = rng.generator
-    _resample(values, shape.branching, state.k, _block(shape, v, block_depth),
-              _words(gen), gen, {})
-    return DynamicsState(shape, state.k, FullColoring(state.k, values), state.time)
+    memo = _move_memo(state.shape.branching, state.k, len(plan.frontier))
+    _resample(values, plan, _words(gen), gen, memo)
+    return DynamicsState(state.shape, state.k, FullColoring(state.k, values), time)
 
 
-def _resample(
-    values: list, b: int, k: int, block: tuple, word: int, gen: np.random.Generator, memo: dict
-) -> None:
-    """Redraw `block` (from `_block`) of `values` in place, exactly uniformly.
+@lru_cache(maxsize=8)  # a memo keeps at most _MEMO_CAP lists
+def _move_memo(b: int, k: int, width: int) -> _Memo:
+    """The memo that single moves share, one per block shape: a memo's
+    contents change no draw, only what a move recounts."""
+    return _Memo(b, k)
+
+
+def _resample(values: list, plan: _Plan, word: int, gen: np.random.Generator, memo: _Memo) -> None:
+    """Redraw the block of `plan` in `values` in place, exactly uniformly.
 
     The block is a complete subtree; each frontier vertex allows the
-    colors its children outside the block leave free.  `count_levels`
-    counts every block vertex's proper completions by color, bottom-up,
-    and `memo` keeps those counts per tuple of frontier bitmasks of
-    outside colors, up to `_MEMO_CAP` count vectors in all.  A vertex
-    colored c has prod over its children of (T_child - m_child[c])
-    completions, where T_child sums the child's counts, so one r in
-    [0, total) decodes top-down into a completion: r picks the top color
-    by cumulative weight, and the remainder splits mixed-radix with
-    divmod over the children, recursively down to the frontier.  The
-    decoding is a bijection onto the completions, so the redraw is
-    exactly uniform when r is; r comes from the pre-drawn `word` through
-    `word_below`.  Only the block and its outside neighbors are read, so
-    a move costs O(block) whatever the size of the tree.
+    colors its children outside the block leave free.  A vertex colored
+    c has prod over its children of (T_child - m_child[c]) completions,
+    where T_child sums the child's counts, so one r in [0, total) decodes
+    top-down into a completion: r picks the top color by cumulative
+    weight, and the remainder splits mixed-radix with divmod over the
+    children, recursively down to the frontier, where a digit indexes the
+    vertex's free colors other than its parent's.  The decoding is a
+    bijection onto the completions, so the redraw is exactly uniform when
+    r is; r comes from the pre-drawn `word` through `word_below`.  The
+    counts, totals and free colors come from `memo`'s table for the colors
+    of the frontier's outside children (see `_Memo`), in the block order
+    of `plan`.  Only the block and its outside neighbors are read, so a
+    move costs O(block) whatever the size of the tree.
     """
-    vertices, inner, height = block
-    masks = []
-    for w in vertices[inner:]:
-        m = 0
-        for c in values[w * b + 1 : w * b + b + 1]:  # empty past the leaves
-            m |= 1 << c
-        masks.append(m)
-    # the tuple's length, b**height, fixes the block's shape
-    key = tuple(masks)
-    table = memo.get(key)
-    if table is None:
-        bottom = [[1 - (m >> c & 1) for c in range(1, k + 1)] for m in masks]
-        counts = [vec for level in reversed(count_levels(bottom, b, height)) for vec in level]
-        table = counts, [sum(vec) for vec in counts]
-        if len(memo) * len(vertices) < _MEMO_CAP:
-            memo[key] = table
-    counts, totals = table
+    vertices, inner, frontier, up, outside = plan
+    key = tuple(values[outside])
+    table = memo.tables.get(key) or memo.table(key, len(frontier))
+    avoid = values[up] if up >= 0 else 0
     # the total is positive: the block's current coloring is a completion
-    v = vertices[0]
-    avoid = values[(v - 1) // b] if v else 0
-    total = totals[0] - counts[0][avoid - 1] if avoid else totals[0]
-    digits = [0] * len(vertices)
-    digits[0] = word_below(gen, word, total)
-    for p, w in enumerate(vertices):
-        r = digits[p]
-        avoid = values[(w - 1) // b] if w else 0
-        for c, weight in enumerate(counts[p], 1):
+    r = word_below(gen, word, table[0][1][avoid])
+    if not inner:
+        values[vertices[0]] = table[0][0][avoid][r]
+        return
+    digits = [r] * len(vertices)
+    avoids = [avoid] * len(vertices)
+    for p, children in inner:
+        r, avoid = digits[p], avoids[p]
+        for c, weight in enumerate(table[p][0], 1):
             if c != avoid:
                 if r < weight:
                     break
                 r -= weight
-        values[w] = c
-        if p < inner:
-            for q in range(p * b + 1, p * b + b + 1):
-                r, digits[q] = divmod(r, totals[q] - counts[q][c - 1])
+        values[vertices[p]] = c
+        for q in children:
+            avoids[q] = c
+            r, digits[q] = divmod(r, table[q][1][c])
+    for p in frontier:
+        values[vertices[p]] = table[p][0][avoids[p]][digits[p]]
 
 
 def step(state: DynamicsState, block_depth: int, rng: RandomSource) -> DynamicsState:
     """One move: uniform vertex choice, then a heat-bath update of the
-    block rooted at that vertex's block_depth-th ancestor."""
-    v = int(rng.generator.integers(0, state.shape.vertex_count))
-    nxt = heat_bath_block(state, block_root(state.shape, v, block_depth), block_depth, rng)
-    nxt = DynamicsState(nxt.shape, nxt.k, nxt.coloring, state.time + 1)
-    assert is_proper(nxt.shape, nxt.coloring)
+    block rooted at that vertex's block_depth-th ancestor.  The new state
+    is checked for properness; an improper one raises ValidationError."""
+    shape = state.shape
+    gen = rng.generator
+    v = int(gen.integers(0, shape.vertex_count))
+    plan = _plan(shape, block_root(shape, v, block_depth), block_depth)
+    nxt = _redraw(state, plan, gen, state.time + 1)
+    _check_proper(nxt)
     return nxt
+
+
+def _check_proper(state: DynamicsState) -> None:
+    if not is_proper(state.shape, state.coloring):
+        raise ValidationError("the dynamics reached an improper coloring")
 
 
 def run_chain(
@@ -226,8 +338,9 @@ def run_chain(
 
     The chain runs in place on one list of colors, each move redrawing
     only its block, and the final coloring is validated once, as a
-    `FullColoring` and for properness, when the chain returns; `state`
-    itself is unchanged.  The block-count memo lives for this call only.
+    `FullColoring` and for properness (an improper one raises
+    ValidationError), when the chain returns; `state` itself is
+    unchanged.  The block-count memo lives for this call only.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -237,24 +350,24 @@ def run_chain(
         return state
     shape, k = state.shape, state.k
     gen = rng.generator
-    roots = [block_root(shape, v, block_depth) for v in range(shape.vertex_count)]
-    blocks = {root: _block(shape, root, block_depth) for root in set(roots)}
-    block_of = [blocks[root] for root in roots]
+    plan_of = [
+        _plan(shape, block_root(shape, v, block_depth), block_depth)
+        for v in range(shape.vertex_count)
+    ]
     values = state.coloring.values.tolist()
-    b = shape.branching
-    memo: dict = {}
+    memo = _Memo(shape.branching, k)
     done = 0
     while done < steps:
         size = min(_CHUNK, steps - done)
         choices = gen.integers(0, shape.vertex_count, size=size).tolist()
         for v, word in zip(choices, _words(gen, size)):
-            _resample(values, b, k, block_of[v], word, gen, memo)
+            _resample(values, plan_of[v], word, gen, memo)
             done += 1
             if visit_counts is not None and done % thin == 0:
                 key = tuple(values)
                 visit_counts[key] = visit_counts.get(key, 0) + 1
     final = DynamicsState(shape, k, FullColoring(k, values), state.time + steps)
-    assert is_proper(shape, final.coloring)
+    _check_proper(final)
     return final
 
 

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import CHI2_P_FLOOR, chi2_pvalue
+from conftest import CHI2_P_FLOOR, chi2_pvalue, cli_subprocess_env
 from treecolor import dynamics
 from treecolor.dynamics import (
     DynamicsState,
@@ -182,12 +185,12 @@ def test_block_decode_is_a_bijection_onto_completions(branching, depth, k):
     sampler = np.random.default_rng(900)
     for seed in (901, 902, 903):
         start = initial_state(shape, k, RandomSource(seed)).coloring.values.tolist()
-        for block_depth in (1, 2):
+        for block_depth in (0, 1, 2):
             # every vertex as block root: the root block and blocks
             # truncated at the leaves included
             for root in range(shape.vertex_count):
-                block = dynamics._block(shape, root, block_depth)
-                vertices = block[0]
+                plan = dynamics._plan(shape, root, block_depth)
+                vertices = plan.vertices
                 inside = set(vertices)
                 outside = [w for w in range(shape.vertex_count) if w not in inside]
                 completions = None
@@ -206,11 +209,11 @@ def test_block_decode_is_a_bijection_onto_completions(branching, depth, k):
                     words = sorted({0, count - 1, *sampler.integers(0, count, size=2000).tolist()})
                 else:
                     words = range(count)
-                memo: dict = {}
+                memo = dynamics._Memo(branching, k)
                 decoded = []
                 for r in [*words, count]:
                     values = list(start)
-                    dynamics._resample(values, branching, k, block, r, None, memo)
+                    dynamics._resample(values, plan, r, None, memo)
                     assert [values[w] for w in outside] == [start[w] for w in outside]
                     decoded.append(tuple(values[w] for w in vertices))
                     if completions is None:
@@ -317,6 +320,36 @@ PINNED_CHAINS = [
         "322111332331212222231311131232123113131233222121212123122331122"
     )),
     ((3, 3, 4), 1, 1000, 803, "2411133444333334414211313212222441124221"),
+    ((2, 8, 3), 1, 1500, 809, (
+        "1231112332332111122112211332233333333313323113333321211113121221"
+        "1211122212112331112112132221112211122113333332233222222132231312"
+        "2231322332213131122313323131221322332133232112221111133322232131"
+        "1333233331123222211212212221331221231331131331122223111212222221"
+        "1311111332213312121111132213222322231332122211213212211321313232"
+        "1313311221323111233213132331333332223233232121221313311121133123"
+        "2322211221322111211323331123313331322331323313132133313322122233"
+        "313333122231212333311221111322233313311123223223122333113111313"
+    )),
+    ((3, 5, 4), 2, 800, 810, (
+        "4311122233243243114144343414241313321244444313224322322213432311"
+        "3321413122111234421233411132344142432412224142434412232231333311"
+        "3222132244414331113112133133311111313344322242221211244321444442"
+        "3144442344243131332244324144343333323443141214322113443334434441"
+        "2411212324323421214142413322313423334143121121132123424433344332"
+        "22233232343312221122232242414431412144141121"
+    )),
+    ((2, 6, 5), 3, 400, 811, (
+        "1552242454553451132214134223524525351553423515412323453213251111"
+        "453114424454234442311142223411144344111211313111354253132522353"
+    )),
+    ((4, 4, 6), 1, 1200, 812, (
+        "3161165252213453543452533216151631226455131555225221631631646261"
+        "1214316622242631263361644223455441451311563445215562231265223531"
+        "3261142553543345145415551666142443225244443224632142424211664165"
+        "4664363533366254651451541533331132152636324415255244253354251436"
+        "6662354465225116662522344421413434453641446156321413641335562356"
+        "215565524254251254525"
+    )),
 ]
 
 
@@ -333,6 +366,47 @@ def test_run_chain_draw_stream_is_pinned(dims, block_depth, steps, seed, final):
     assert out.time == steps
     assert "".join(str(int(c)) for c in out.coloring.values) == final
     assert np.array_equal(start.coloring.values, before)
+
+
+@pytest.mark.parametrize("cap", [0, 40])
+@pytest.mark.parametrize(
+    "dims, block_depth, steps, seed",
+    [((2, 4, 3), 0, 2000, 813), ((2, 6, 3), 2, 1500, 814), ((3, 4, 4), 1, 1500, 815),
+     ((2, 5, 5), 3, 600, 816)],
+)
+def test_memo_changes_no_draw(monkeypatch, cap, dims, block_depth, steps, seed):
+    # a chain that stores nothing, or stops storing partway, draws the same
+    # completions as one that keeps every block count it computes
+    branching, depth, k = dims
+    start = striped_state(TreeShape(branching, depth), k)
+
+    def chain():
+        visits: dict = {}
+        out = run_chain(start, block_depth, steps, RandomSource(seed), visit_counts=visits, thin=7)
+        return out.coloring.values.tolist(), visits
+
+    kept = chain()
+    monkeypatch.setattr(dynamics, "_MEMO_CAP", cap)
+    assert chain() == kept
+
+
+def test_memo_keeps_at_most_cap_lists(monkeypatch):
+    # block-table keys and subtree tables share one budget: a key costs
+    # one, a frontier vertex's table k + 5 (itself, its counts and totals,
+    # and its k + 1 lists of free colors and the list holding them), and a
+    # table above the frontier three (itself, its counts and totals)
+    cap, k = 60, 3
+    monkeypatch.setattr(dynamics, "_MEMO_CAP", cap)
+    memo = dynamics._Memo(2, k)
+    gen = np.random.default_rng(817)
+    for _ in range(200):
+        table = memo.table(tuple(gen.integers(1, k + 1, size=8).tolist()), 4)
+        assert len(table) == 7
+    frontier = sum(len(masks) == 1 for masks in memo.subtrees)
+    above = len(memo.subtrees) - frontier
+    assert memo.size == len(memo.tables) + (k + 5) * frontier + 3 * above
+    assert memo.size <= cap
+    assert 0 < len(memo.tables) < 200
 
 
 def test_thinned_tallies_are_pinned_and_inputs_untouched():
@@ -390,6 +464,39 @@ def test_chain_draws_in_batches_not_per_move():
     source = CountingSource(808)
     heat_bath_block(start, 1, 2, source)
     assert source.generator.calls == 1
+
+
+def test_properness_checks_survive_optimize():
+    # run_chain and step check properness with a raise, not an assert, so
+    # `python -O` keeps the checks: a kernel that writes an improper color
+    # is caught under it
+    script = textwrap.dedent("""
+        import sys
+        from treecolor import dynamics
+        from treecolor.errors import ValidationError
+        from treecolor.rng import RandomSource
+        from treecolor.tree_model import TreeShape
+
+        def clash(values, *args):
+            values[1] = values[0]
+
+        dynamics._resample = clash
+        state = dynamics.initial_state(TreeShape(2, 2), 3, RandomSource(1))
+        caught = []
+        for move in (lambda: dynamics.run_chain(state, 1, 5, RandomSource(2)),
+                     lambda: dynamics.step(state, 1, RandomSource(3))):
+            try:
+                move()
+            except ValidationError:
+                caught.append(move)
+        print(sys.flags.optimize, len(caught))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=cli_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]
 
 
 def test_run_chain_thinning_tallies():
