@@ -29,7 +29,8 @@ the same cached plans and share one memo per block shape, draw one word,
 copy, redraw and validate the new state.  The properness checks of `run_chain` and `step` raise, so
 `python -O` keeps them.
 
-On instances small enough to enumerate, the states are split once per
+On instances small enough to enumerate, the states are one int16 array
+whose row i spells i in mixed radix (`_state_array`), split once per
 block root by their colors outside the block (`_outside_groups`).  A
 move on that block lands uniformly on the current state's group, so the
 exact transition matrix is assembled from these groups as integer
@@ -62,6 +63,7 @@ from .tree_model import FullColoring, TreeShape, is_proper
 STATE_GUARD = 10**4
 _MIXING_STATE_GUARD = 400
 _MIXING_STEP_GUARD = 10_000
+_POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives up
 _MEMO_CAP = 1 << 15  # lists one chain's memo keeps (see _Memo), whatever its length
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
@@ -389,23 +391,23 @@ def _check_state_guard(size: int) -> None:
 
 def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
     """All proper colorings, lexicographic in the level-order color vector."""
-    _check_state_guard(state_space_size(shape, k))
-    n = shape.vertex_count
-    b = shape.branching
-    states = []
-    assignment = [0] * n
+    return list(map(tuple, _state_array(shape, k).tolist()))
 
-    def extend(v: int):
-        if v == n:
-            states.append(tuple(assignment))
-            return
-        parent_color = assignment[(v - 1) // b] if v else None
-        for c in range(1, k + 1):
-            if c != parent_color:
-                assignment[v] = c
-                extend(v + 1)
 
-    extend(0)
+def _state_array(shape: TreeShape, k: int) -> np.ndarray:
+    """The proper colorings as one (n, V) int16 array, lexicographic: row i
+    spells i in mixed radix, the root's color in base k, then per vertex
+    one base-(k-1) digit among the colors its parent leaves, in increasing
+    order.  One vectorized pass per vertex, parents first."""
+    size = state_space_size(shape, k)
+    _check_state_guard(size)
+    b, width = shape.branching, shape.vertex_count
+    index = np.arange(size)
+    states = np.empty((size, width), dtype=np.int16)
+    states[:, 0] = index // (k - 1) ** (width - 1) + 1
+    for v in range(1, width):
+        digit = index // (k - 1) ** (width - 1 - v) % (k - 1) + 1
+        states[:, v] = digit + (digit >= states[:, (v - 1) // b])
     return states
 
 
@@ -517,21 +519,25 @@ def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
     Stops once the residual |y - mu x| of the unit iterate x, with
     y = ((I+P)/2)x and mu = x.y, is at most `tol`: then mu lies within tol
     of an eigenvalue, and for the symmetric kernel within about
-    tol**2 / gap of it.  One matrix-vector product per step.
+    tol**2 / gap of it.  One matrix-vector product per step; a run that
+    has not met `tol` after `_POWER_STEPS` steps raises CapacityError.
     """
     size = dense.shape[0]
     rng = np.random.default_rng(0)
     x = rng.standard_normal(size)
     x -= x.mean()
     x /= np.linalg.norm(x)
-    for _ in range(100_000):
+    for _ in range(_POWER_STEPS):
         y = 0.5 * (x + dense @ x)
         y -= y.mean()
         mu = float(x @ y)
-        if np.linalg.norm(y - mu * x) <= tol:
-            break
+        residual = float(np.linalg.norm(y - mu * x))
+        if residual <= tol:
+            return 2.0 * mu - 1.0
         x = y / np.linalg.norm(y)
-    return 2.0 * mu - 1.0
+    raise CapacityError(
+        f"power iteration left residual {residual:.3g} > {tol:g} after {_POWER_STEPS} steps"
+    )
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
@@ -679,17 +685,18 @@ def _outside_groups(shape: TreeShape, k: int, block_depth: int):
     Cached, so each group is a read-only index array, in enumeration
     order, and every container is a tuple or a read-only mapping.
     """
-    states = tuple(enumerate_states(shape, k))
+    array = _state_array(shape, k)
+    states = tuple(map(tuple, array.tolist()))
     root_of = tuple(block_root(shape, v, block_depth) for v in range(shape.vertex_count))
     groups: dict[int, tuple] = {}
     for root in root_of:
         if root in groups:
             continue
-        inside = set(block_vertices(shape, root, block_depth))
-        outside = [w for w in range(shape.vertex_count) if w not in inside]
+        outside = np.ones(shape.vertex_count, dtype=bool)
+        outside[block_vertices(shape, root, block_depth)] = False
         by_outside: dict[tuple, list[int]] = {}
-        for i, s in enumerate(states):
-            by_outside.setdefault(tuple(s[w] for w in outside), []).append(i)
+        for i, key in enumerate(map(tuple, array[:, outside].tolist())):
+            by_outside.setdefault(key, []).append(i)
         members = tuple(np.array(group) for group in by_outside.values())
         for index in members:
             index.setflags(write=False)
@@ -697,19 +704,14 @@ def _outside_groups(shape: TreeShape, k: int, block_depth: int):
     return states, MappingProxyType(groups), root_of
 
 
-def _vertex_groups(f, shape: TreeShape, k: int, block_depth: int, v: int):
-    """f as a float vector over the states, checked, and v's groups."""
+def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:
+    """E[Ent(f | colors outside the block a move at v updates)], uniform E."""
+    shape._check_vertex(v)
     arr = np.asarray(f, dtype=float)
     states, groups, root_of = _outside_groups(shape, k, block_depth)
     if arr.shape != (len(states),):
         raise ValidationError("f must have one entry per enumerated state")
-    return arr, groups[root_of[v]]
-
-
-def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:
-    """E[Ent(f | colors outside the block a move at v updates)], uniform E."""
-    arr, members_of = _vertex_groups(f, shape, k, block_depth, v)
-    return sum((len(members) / len(arr) * _entropy(arr[members]) for members in members_of), 0.0)
+    return sum((len(m) / len(arr) * _entropy(arr[m]) for m in groups[root_of[v]]), 0.0)
 
 
 def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
@@ -718,24 +720,6 @@ def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
         conditional_entropy(f, shape, k, block_depth, v)
         for v in range(shape.vertex_count)
     )
-
-
-def block_projection(f, shape: TreeShape, k: int, block_depth: int, v: int) -> np.ndarray:
-    """The heat-bath kernel a move at v applies: conditional mean given the outside."""
-    arr, members_of = _vertex_groups(f, shape, k, block_depth, v)
-    out = np.empty_like(arr)
-    for members in members_of:
-        out[members] = arr[members].mean()
-    return out
-
-
-def average_projection(f, shape: TreeShape, k: int, block_depth: int) -> np.ndarray:
-    """The full kernel applied to f: average of the per-vertex projections."""
-    arr = np.asarray(f, dtype=float)
-    acc = np.zeros_like(arr, dtype=float)
-    for v in range(shape.vertex_count):
-        acc += block_projection(arr, shape, k, block_depth, v)
-    return acc / shape.vertex_count
 
 
 def entropy_ratio_report(

@@ -69,7 +69,6 @@ from .tree_model import (
     _check_colors_match,
     _check_k,
     check_leaf_coloring,
-    is_allowed,
 )
 
 ENUMERATION_GUARD = 10**8
@@ -223,16 +222,18 @@ def root_marginal(
 ) -> ColorDistribution:
     """Distribution of the root color given the leaf coloring.
 
-    The coloring must be allowed (checked up front); `forbidden_root`
-    additionally conditions the root to avoid one color.
+    A disallowed coloring raises InfeasibleBoundaryError, decided from
+    what each backend computes anyway: the rational root counts sum to 0,
+    and the float fold meets a vertex with every color at -inf.
+    `forbidden_root` additionally conditions the root to avoid one color.
     """
     check_leaf_coloring(shape, coloring)
     _check_colors_match(k, coloring)
-    if not is_allowed(shape, k, coloring):
-        raise InfeasibleBoundaryError("leaf coloring admits no proper extension")
     if backend == "rational":
         top = count_levels(_leaf_bottom(coloring.values, k), shape.branching, shape.depth)[-1][0]
         total = sum(top)
+        if total == 0:
+            raise InfeasibleBoundaryError("leaf coloring admits no proper extension")
         weights = [Fraction(c, total) for c in top]
     elif backend == "float":
         weights = list(root_marginal_batch(shape, k, coloring.values[np.newaxis, :])[0])

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: statistics, exact laws, the bottom
-blocks' unused-color sets and the CLI subprocess environment."""
+blocks' unused-color sets, oracles for the exact dynamics' state space
+and the CLI subprocess environment."""
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +14,7 @@ from scipy import stats
 import treecolor
 from treecolor import InfeasibleBoundaryError, RandomSource, TreeShape
 from treecolor.broadcast_sampler import _level_at, _unused_entries
+from treecolor.dynamics import _outside_groups, block_root, block_vertices
 
 CHI2_P_FLOOR = 0.001
 
@@ -75,6 +78,64 @@ def unused_log_factors(unused: np.ndarray) -> np.ndarray:
         raise InfeasibleBoundaryError("a bottom block uses all colors")
     with np.errstate(divide="ignore"):
         return np.where(unused, np.log1p(-1.0 / sizes), 0.0)
+
+
+def enumerate_states_recursive(shape: TreeShape, k: int) -> list[tuple]:
+    """Oracle: all proper colorings, lexicographic in the level-order color
+    vector, by a search that recurses once per vertex (the recursion limit
+    is raised to fit the tree)."""
+    n, b = shape.vertex_count, shape.branching
+    states = []
+    assignment = [0] * n
+
+    def extend(v: int):
+        if v == n:
+            states.append(tuple(assignment))
+            return
+        parent_color = assignment[(v - 1) // b] if v else None
+        for c in range(1, k + 1):
+            if c != parent_color:
+                assignment[v] = c
+                extend(v + 1)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 100))
+    try:
+        extend(0)
+    finally:
+        sys.setrecursionlimit(limit)
+    return states
+
+
+def outside_groups_oracle(shape: TreeShape, k: int, block_depth: int) -> dict[int, list]:
+    """Oracle: per block root, in first-selected order, the indices of the
+    states of `enumerate_states_recursive` grouped by a dict keyed by the
+    tuple of their colors outside the block, groups and members in
+    enumeration order."""
+    states = enumerate_states_recursive(shape, k)
+    groups: dict[int, list] = {}
+    for v in range(shape.vertex_count):
+        root = block_root(shape, v, block_depth)
+        if root in groups:
+            continue
+        inside = set(block_vertices(shape, root, block_depth))
+        outside = [w for w in range(shape.vertex_count) if w not in inside]
+        by_outside: dict[tuple, list[int]] = {}
+        for i, s in enumerate(states):
+            by_outside.setdefault(tuple(s[w] for w in outside), []).append(i)
+        groups[root] = list(by_outside.values())
+    return groups
+
+
+def block_projection(f, shape: TreeShape, k: int, block_depth: int, v: int) -> np.ndarray:
+    """The heat-bath kernel a move at v applies to f: each state's value
+    replaced by the mean over its group of `dynamics._outside_groups`."""
+    arr = np.asarray(f, dtype=float)
+    _, groups, root_of = _outside_groups(shape, k, block_depth)
+    out = np.empty_like(arr)
+    for members in groups[root_of[v]]:
+        out[members] = arr[members].mean()
+    return out
 
 
 def cli_subprocess_env() -> dict:

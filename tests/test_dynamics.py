@@ -10,13 +10,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CHI2_P_FLOOR, chi2_pvalue, cli_subprocess_env
+from conftest import (
+    CHI2_P_FLOOR,
+    block_projection,
+    chi2_pvalue,
+    cli_subprocess_env,
+    enumerate_states_recursive,
+    outside_groups_oracle,
+)
 from treecolor import dynamics
 from treecolor.dynamics import (
     DynamicsState,
     TransitionMatrix,
-    average_projection,
-    block_projection,
     block_root,
     block_vertices,
     build_transition_matrix,
@@ -542,6 +547,54 @@ def test_state_enumeration_counts_and_order():
     assert state_space_size(TreeShape(2, 2), 3) == 192
 
 
+@pytest.mark.parametrize(
+    "branching, depth, k",
+    [
+        (2, 1, 3),
+        (2, 2, 3),
+        (3, 1, 4),
+        (2, 2, 4),
+        (7, 1, 4),
+        (2, 0, 300),  # colors past int8
+        (2, 6, 2),
+        (2, 9, 2),  # 1023 vertices: deeper than the default recursion limit
+    ],
+)
+def test_state_array_matches_recursive_order(branching, depth, k):
+    shape = TreeShape(branching, depth)
+    array = dynamics._state_array(shape, k)
+    assert array.dtype == np.int16
+    assert array.shape == (state_space_size(shape, k), shape.vertex_count)
+    assert enumerate_states(shape, k) == enumerate_states_recursive(shape, k)
+
+
+# (branching, depth, k, block_depth) for the grouping and matrix oracles
+GROUPED_INSTANCES = [
+    (2, 1, 3, 0),
+    (2, 1, 3, 1),
+    (2, 1, 4, 5),  # block_depth beyond the tree depth
+    (2, 2, 3, 0),
+    (2, 2, 3, 1),  # blocks truncated at the leaves, and the root block
+    (2, 2, 3, 2),
+    (3, 1, 4, 0),
+]
+
+
+@pytest.mark.parametrize("branching, depth, k, block_depth", GROUPED_INSTANCES)
+def test_outside_groups_match_dict_grouping(branching, depth, k, block_depth):
+    # same roots in the same order, and per root the same index arrays in
+    # the same order, as grouping the recursive states by outside tuples
+    shape = TreeShape(branching, depth)
+    states, groups, root_of = dynamics._outside_groups(shape, k, block_depth)
+    expected = outside_groups_oracle(shape, k, block_depth)
+    assert states == tuple(enumerate_states_recursive(shape, k))
+    assert root_of == tuple(block_root(shape, v, block_depth) for v in range(shape.vertex_count))
+    assert list(groups) == list(expected)
+    for root, members in groups.items():
+        assert [index.tolist() for index in members] == expected[root]
+        assert all(not index.flags.writeable for index in members)
+
+
 def test_state_enumeration_guard():
     with pytest.raises(CapacityError):
         enumerate_states(TreeShape(2, 3), 3)  # 49152 proper colorings
@@ -587,18 +640,7 @@ def oracle_transition_rows(shape: TreeShape, k: int, block_depth: int) -> list[d
     return rows
 
 
-@pytest.mark.parametrize(
-    "branching, depth, k, block_depth",
-    [
-        (2, 1, 3, 0),
-        (2, 1, 3, 1),
-        (2, 1, 4, 5),  # block_depth beyond the tree depth
-        (2, 2, 3, 0),
-        (2, 2, 3, 1),  # blocks truncated at the leaves, and the root block
-        (2, 2, 3, 2),
-        (3, 1, 4, 0),
-    ],
-)
+@pytest.mark.parametrize("branching, depth, k, block_depth", GROUPED_INSTANCES)
 def test_matrix_from_groups_matches_completion_search(branching, depth, k, block_depth):
     # same Fractions, and each row lists its columns in the same order, so
     # every consumer that walks the rows (the CSV dump included) is unchanged;
@@ -662,6 +704,16 @@ def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
     # rounding on both block depths.
     assert got == pytest.approx(lam2, abs=1e-11)
     assert got <= lam2 + 1e-12
+
+
+def test_power_iteration_raises_when_it_runs_out_of_steps(monkeypatch):
+    # P = I - 1e-9 L, L the path Laplacian on 3 states: the gap is 1e-9,
+    # far too small for the residual to fall below 1e-10 in 1000 steps
+    laplacian = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    dense = np.eye(3) - 1e-9 * laplacian
+    monkeypatch.setattr(dynamics, "_POWER_STEPS", 1000)
+    with pytest.raises(CapacityError, match="residual"):
+        dynamics._second_eigenvalue_power(dense)
 
 
 def test_exact_mixing_times():
@@ -848,8 +900,17 @@ def test_block_projection_is_a_projection():
         twice = block_projection(once, shape, k, 0, v)
         assert np.allclose(once, twice, rtol=0, atol=1e-13)
         assert once.mean() == pytest.approx(f.mean(), rel=1e-12)
+
+
+def test_conditional_entropy_checks_its_arguments():
+    shape = TreeShape(2, 1)
+    k = 3
+    f = np.ones(state_space_size(shape, k))
+    for v in (-1, 3):
+        with pytest.raises(ValidationError):
+            conditional_entropy(f, shape, k, 0, v)
     with pytest.raises(ValidationError):
-        block_projection(f[:-1], shape, k, 0, 0)
+        conditional_entropy(f[:-1], shape, k, 0, 0)
 
 
 def test_average_projection_contracts_entropy():
@@ -857,9 +918,10 @@ def test_average_projection_contracts_entropy():
     k = 3
     rng = np.random.default_rng(24)
     for block_depth in (0, 1):
+        dense = build_transition_matrix(shape, k, block_depth).to_dense()
         for _ in range(5):
             f = rng.lognormal(size=state_space_size(shape, k))
-            smoothed = average_projection(f, shape, k, block_depth)
+            smoothed = dense @ f
             assert smoothed.mean() == pytest.approx(f.mean(), rel=1e-12)
             assert entropy_functional(smoothed) <= entropy_functional(f) + 1e-12
 
@@ -871,8 +933,11 @@ def test_average_projection_is_the_matrix_action():
     f = rng.lognormal(size=state_space_size(shape, k))
     for block_depth in (0, 1):
         matrix = build_transition_matrix(shape, k, block_depth)
+        average = sum(
+            block_projection(f, shape, k, block_depth, v) for v in range(shape.vertex_count)
+        ) / shape.vertex_count
         assert np.allclose(
-            average_projection(f, shape, k, block_depth),
+            average,
             matrix.to_dense() @ f,
             rtol=0,
             atol=1e-12,
@@ -886,11 +951,10 @@ def test_convexity_lower_bound_on_entropy_decay():
     n_vertices = shape.vertex_count
     rng = np.random.default_rng(29)
     for block_depth in (0, 1):
+        dense = build_transition_matrix(shape, k, block_depth).to_dense()
         for _ in range(20):
             f = rng.lognormal(size=state_space_size(shape, k))
-            decay = entropy_functional(f) - entropy_functional(
-                average_projection(f, shape, k, block_depth)
-            )
+            decay = entropy_functional(f) - entropy_functional(dense @ f)
             local = local_entropy_sum(f, shape, k, block_depth)
             assert decay >= local / n_vertices - 1e-10
 

@@ -33,7 +33,7 @@ from treecolor import (
     tv_root,
     vertex_conditional_marginal,
 )
-from treecolor import exact_engine
+from treecolor import exact_engine, tree_model
 from treecolor.broadcast_sampler import (
     _table_entries,
     posterior_rows,
@@ -167,6 +167,32 @@ def test_engines_agree_exhaustively_small():
                 expected.as_floats(),
                 atol=1e-10,
             )
+
+
+def test_root_marginal_raises_exactly_on_disallowed_leaves(monkeypatch):
+    # both backends decide feasibility from the counts they compute, never
+    # through a separate is_allowed pass
+    cases = []
+    for delta, depth, k in [(2, 2, 3), (3, 1, 3)]:
+        shape = TreeShape(delta, depth)
+        for row in product(range(k + 1), repeat=shape.leaf_count):
+            x = PartialLeafColoring(k, np.array(row, dtype=np.int16))
+            cases.append((shape, k, x, tree_model.is_allowed(shape, k, x)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("root_marginal must not call is_allowed")
+
+    for module in (tree_model, exact_engine):
+        monkeypatch.setattr(module, "is_allowed", never, raising=False)
+        monkeypatch.setattr(module, "is_allowed_batch", never, raising=False)
+    for shape, k, x, allowed in cases:
+        for backend in ("rational", "float"):
+            if allowed:
+                root_marginal(shape, k, x, backend=backend)
+            else:
+                with pytest.raises(InfeasibleBoundaryError):
+                    root_marginal(shape, k, x, backend=backend)
+    assert {allowed for *_, allowed in cases} == {True, False}
 
 
 def test_relabeling_equivariance():

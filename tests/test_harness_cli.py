@@ -682,6 +682,18 @@ def test_cli_dynamics_exact_guard_trips_before_building_the_matrix(capsys, monke
     assert "exact mixing time supports at most 400 states" in err
 
 
+def test_cli_dynamics_exact_runs_a_two_color_tree_of_any_depth(capsys):
+    # k = 2 leaves 2 proper colorings, each frozen, on 2047 vertices
+    code, out, _ = run_cli(
+        capsys, "dynamics", "--delta", "2", "--k", "2", "--n", "10",
+        "--block-depth", "1", "--exact",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["states"] == 2 and payload["t_mix"] is None
+    assert not payload["ergodic"] and payload["uniform_stationary"]
+
+
 def test_cli_unbiasing_json(capsys):
     code, out, _ = run_cli(
         capsys, "unbiasing", "--delta", "2", "--k", "3", "--depth", "2",
