@@ -29,14 +29,11 @@ the same cached plans and share one memo per block shape, draw one word,
 copy, redraw and validate the new state.  The properness checks of `run_chain` and `step` raise, so
 `python -O` keeps them.
 
-On instances small enough to enumerate, the states are one int16 array
-whose row i spells i in mixed radix (`_state_array`), split once per
-block root by their colors outside the block (`_outside_groups`).  A
-move on that block lands uniformly on the current state's group, so the
-exact transition matrix is assembled from these groups as integer
-numerators over one common denominator, and the entropy functionals for
-the local-vs-global entropy comparison read the same groups: one block
-decomposition for every exact diagnostic.
+On instances small enough to enumerate, the states are the rows of one
+int16 array (`_state_array`), labelled per block root by their colors
+outside the block (`_outside_groups`).  A move maps f to its group average
+M_r f (`_average`), so its conditional entropy is Ent(f) - Ent(M_r f), and
+the exact transition matrix is built from the same groups in integers.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
@@ -58,12 +55,15 @@ from .broadcast_sampler import sample_full
 from .errors import CapacityError, NonErgodicChainError, ValidationError
 from .exact_engine import count_levels
 from .rng import RandomSource, word_below
-from .tree_model import FullColoring, TreeShape, is_proper
+from .tree_model import FullColoring, TreeShape, _check_k, is_proper
 
 STATE_GUARD = 10**4
 _MIXING_STATE_GUARD = 400
 _MIXING_STEP_GUARD = 10_000
 _POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives up
+# row entries build_transition_matrix may write: (2,1,12,1) measured about
+# 100 bytes per entry, so about 0.5 GB at the guard
+_MATRIX_ENTRY_GUARD = 5 * 10**6
 _MEMO_CAP = 1 << 15  # lists one chain's memo keeps (see _Memo), whatever its length
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
@@ -379,6 +379,7 @@ def run_chain(
 
 def state_space_size(shape: TreeShape, k: int) -> int:
     """k(k-1)^(V-1): proper colorings of a tree factor along edges."""
+    _check_k(k)
     return k * (k - 1) ** (shape.vertex_count - 1)
 
 
@@ -465,18 +466,27 @@ def build_transition_matrix(
     groups G: m_r * (L // |G|) over N * L, with L the lcm of the group
     sizes.  The numerators and N * L are then divided by their common
     gcd, which leaves the least common denominator.  Roots are taken in
-    increasing order and each group's states in enumeration order, so
-    every row lists its columns in the order a per-state scan of the
-    block's completions would.
+    increasing order and each group's states (a stable argsort of the
+    labels) in enumeration order, so every row lists its columns in the
+    order a per-state scan of the block's completions would.  The entries
+    written, the sum of |G|^2, must not exceed `_MATRIX_ENTRY_GUARD`.
     """
-    states, groups, root_of = _outside_groups(shape, k, block_depth)
-    lcm = math.lcm(*(len(group) for members in groups.values() for group in members))
-    rows = [dict() for _ in states]
-    for root in sorted(groups):
+    labels, root_of = _outside_groups(shape, k, block_depth)
+    sizes = {root: np.bincount(label) for root, label in labels.items()}
+    entries = sum(int(size @ size) for size in sizes.values())
+    if entries > _MATRIX_ENTRY_GUARD:
+        raise CapacityError(
+            f"the transition matrix needs {entries} row entries, over the "
+            f"{_MATRIX_ENTRY_GUARD} guard"
+        )
+    lcm = math.lcm(*{int(n) for size in sizes.values() for n in size})
+    rows = [dict() for _ in range(state_space_size(shape, k))]
+    for root in sorted(labels):
         count = root_of.count(root)
-        for group in groups[root]:
-            weight = count * (lcm // len(group))
-            members = group.tolist()
+        order = np.argsort(labels[root], kind="stable").tolist()
+        ends = np.cumsum(sizes[root]).tolist()
+        for members in (order[start:end] for start, end in zip([0, *ends], ends)):
+            weight = count * (lcm // len(members))
             for i in members:
                 row = rows[i]
                 for j in members:
@@ -490,7 +500,7 @@ def build_transition_matrix(
         shape=shape,
         k=k,
         block_depth=block_depth,
-        states=states,
+        states=tuple(enumerate_states(shape, k)),
         rows=tuple(rows),
         denominator=denominator,
     )
@@ -673,45 +683,41 @@ def _entropy(arr: np.ndarray) -> float:
     return float(flnf.mean() - mean * math.log(mean))
 
 
-@lru_cache(maxsize=8)  # an entry holds every state of its instance
+@lru_cache(maxsize=8)  # an entry holds one label per state and block root
 def _outside_groups(shape: TreeShape, k: int, block_depth: int):
-    """The enumerated states, grouped per block root by their colors
-    outside the block, and the block root of each vertex.
+    """Per block root, one read-only label per enumerated state numbering
+    its group by the colors outside the block; and each vertex's root.
 
-    A move choosing v updates the depth-block_depth subtree under
-    root_of[v], v's block_depth-th ancestor, and lands uniformly on the
-    group of the current state in groups[root_of[v]].  The transition
-    matrix and the entropy functionals both read this one decomposition.
-    Cached, so each group is a read-only index array, in enumeration
-    order, and every container is a tuple or a read-only mapping.
+    A move choosing v updates the block under root_of[v] and lands
+    uniformly on the states labelled as the current one there.  The labels
+    are `np.unique` over the rows with the block zeroed, each row one byte
+    string, so no key overflows at any width.
     """
     array = _state_array(shape, k)
-    states = tuple(map(tuple, array.tolist()))
+    row = np.dtype((np.void, array.itemsize * shape.vertex_count))
     root_of = tuple(block_root(shape, v, block_depth) for v in range(shape.vertex_count))
-    groups: dict[int, tuple] = {}
-    for root in root_of:
-        if root in groups:
-            continue
-        outside = np.ones(shape.vertex_count, dtype=bool)
-        outside[block_vertices(shape, root, block_depth)] = False
-        by_outside: dict[tuple, list[int]] = {}
-        for i, key in enumerate(map(tuple, array[:, outside].tolist())):
-            by_outside.setdefault(key, []).append(i)
-        members = tuple(np.array(group) for group in by_outside.values())
-        for index in members:
-            index.setflags(write=False)
-        groups[root] = members
-    return states, MappingProxyType(groups), root_of
+    labels: dict[int, np.ndarray] = {}
+    for root in dict.fromkeys(root_of):  # first-selected order
+        keys = array.copy()
+        keys[:, block_vertices(shape, root, block_depth)] = 0
+        labels[root] = np.unique(keys.view(row)[:, 0], return_inverse=True)[1]
+        labels[root].setflags(write=False)
+    return MappingProxyType(labels), root_of
+
+
+def _average(label: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """M f: each entry of f replaced by the mean of f over its label's group."""
+    return (np.bincount(label, f) / np.bincount(label))[label]
 
 
 def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:
-    """E[Ent(f | colors outside the block a move at v updates)], uniform E."""
+    """E[Ent(f | colors outside v's block)] = Ent(f) - Ent(M f), uniform E."""
     shape._check_vertex(v)
     arr = np.asarray(f, dtype=float)
-    states, groups, root_of = _outside_groups(shape, k, block_depth)
-    if arr.shape != (len(states),):
+    labels, root_of = _outside_groups(shape, k, block_depth)
+    if arr.shape != (state_space_size(shape, k),):
         raise ValidationError("f must have one entry per enumerated state")
-    return sum((len(m) / len(arr) * _entropy(arr[m]) for m in groups[root_of[v]]), 0.0)
+    return _entropy(arr) - _entropy(_average(labels[root_of[v]], arr))
 
 
 def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
@@ -729,11 +735,12 @@ def entropy_ratio_report(
     random log-normal test functions.  Diagnostic only."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    states = _outside_groups(shape, k, block_depth)[0]
+    size = state_space_size(shape, k)
+    _check_state_guard(size)
     gen = rng.generator
     worst = math.inf
     for _ in range(trials):
-        f = gen.lognormal(size=len(states))
+        f = gen.lognormal(size=size)
         ent = entropy_functional(f)
         if ent <= 0:
             continue

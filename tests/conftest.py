@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import stats
 import treecolor
 from treecolor import InfeasibleBoundaryError, RandomSource, TreeShape
 from treecolor.broadcast_sampler import _level_at, _unused_entries
-from treecolor.dynamics import _outside_groups, block_root, block_vertices
+from treecolor.dynamics import block_root, block_vertices
 
 CHI2_P_FLOOR = 0.001
 
@@ -107,11 +108,12 @@ def enumerate_states_recursive(shape: TreeShape, k: int) -> list[tuple]:
     return states
 
 
+@lru_cache(maxsize=8)
 def outside_groups_oracle(shape: TreeShape, k: int, block_depth: int) -> dict[int, list]:
     """Oracle: per block root, in first-selected order, the indices of the
     states of `enumerate_states_recursive` grouped by a dict keyed by the
     tuple of their colors outside the block, groups and members in
-    enumeration order."""
+    enumeration order.  Cached: callers must not mutate the result."""
     states = enumerate_states_recursive(shape, k)
     groups: dict[int, list] = {}
     for v in range(shape.vertex_count):
@@ -129,11 +131,12 @@ def outside_groups_oracle(shape: TreeShape, k: int, block_depth: int) -> dict[in
 
 def block_projection(f, shape: TreeShape, k: int, block_depth: int, v: int) -> np.ndarray:
     """The heat-bath kernel a move at v applies to f: each state's value
-    replaced by the mean over its group of `dynamics._outside_groups`."""
+    replaced by the mean over its group of `outside_groups_oracle`, not of
+    `dynamics._outside_groups`, which the checks that use it test."""
     arr = np.asarray(f, dtype=float)
-    _, groups, root_of = _outside_groups(shape, k, block_depth)
     out = np.empty_like(arr)
-    for members in groups[root_of[v]]:
+    groups = outside_groups_oracle(shape, k, block_depth)
+    for members in groups[block_root(shape, v, block_depth)]:
         out[members] = arr[members].mean()
     return out
 

@@ -580,19 +580,48 @@ GROUPED_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("branching, depth, k, block_depth", GROUPED_INSTANCES)
+def label_partition(label: np.ndarray) -> list[list[int]]:
+    """The groups a label array names, in first-appearance order, each
+    listing its state indices in increasing order."""
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(label.tolist()):
+        groups.setdefault(g, []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth",
+    GROUPED_INSTANCES + [(2, 9, 2, 1)],  # 1023 columns
+)
 def test_outside_groups_match_dict_grouping(branching, depth, k, block_depth):
-    # same roots in the same order, and per root the same index arrays in
-    # the same order, as grouping the recursive states by outside tuples
+    # same roots in the same order, and per root labels 0, 1, ... that
+    # split the states exactly as grouping the recursive states by their
+    # outside tuples does
     shape = TreeShape(branching, depth)
-    states, groups, root_of = dynamics._outside_groups(shape, k, block_depth)
+    labels, root_of = dynamics._outside_groups(shape, k, block_depth)
     expected = outside_groups_oracle(shape, k, block_depth)
-    assert states == tuple(enumerate_states_recursive(shape, k))
+    size = state_space_size(shape, k)
     assert root_of == tuple(block_root(shape, v, block_depth) for v in range(shape.vertex_count))
-    assert list(groups) == list(expected)
-    for root, members in groups.items():
-        assert [index.tolist() for index in members] == expected[root]
-        assert all(not index.flags.writeable for index in members)
+    assert list(labels) == list(expected)
+    for root, label in labels.items():
+        assert label.shape == (size,) and not label.flags.writeable
+        assert sorted(set(label.tolist())) == list(range(len(expected[root])))
+        assert label_partition(label) == expected[root]
+
+
+@pytest.mark.parametrize("branching, depth, k, block_depth", GROUPED_INSTANCES)
+def test_conditional_entropy_matches_per_group_formula(branching, depth, k, block_depth):
+    # Ent(f) - Ent(M f) against the mean over the oracle's groups of the
+    # entropy of f within each group, weighted by the group's share
+    shape = TreeShape(branching, depth)
+    groups = outside_groups_oracle(shape, k, block_depth)
+    rng = np.random.default_rng(30)
+    f = rng.lognormal(size=state_space_size(shape, k))
+    for v in range(shape.vertex_count):
+        members = groups[block_root(shape, v, block_depth)]
+        expected = sum(len(m) / f.size * dynamics._entropy(f[m]) for m in members)
+        got = conditional_entropy(f, shape, k, block_depth, v)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_state_enumeration_guard():
@@ -600,6 +629,13 @@ def test_state_enumeration_guard():
         enumerate_states(TreeShape(2, 3), 3)  # 49152 proper colorings
     with pytest.raises(CapacityError):
         build_transition_matrix(TreeShape(2, 3), 3, 0)
+
+
+def test_matrix_entry_guard_trips_before_any_row_is_built():
+    # 7220 states under the state guard, but one group of all of them at
+    # block depth 1: 7220**2 row entries
+    with pytest.raises(CapacityError, match="row entries"):
+        build_transition_matrix(TreeShape(2, 1), 20, 1)
 
 
 def test_transition_matrix_rows_are_distributions_and_symmetric():

@@ -682,6 +682,16 @@ def test_cli_dynamics_exact_guard_trips_before_building_the_matrix(capsys, monke
     assert "exact mixing time supports at most 400 states" in err
 
 
+def test_cli_dynamics_exact_rejects_one_color(capsys):
+    # as the chain path does: a usage error, not a traceback
+    code, out, err = run_cli(
+        capsys, "dynamics", "--delta", "2", "--k", "1", "--n", "1",
+        "--block-depth", "0", "--exact",
+    )
+    assert code == 2 and out == ""
+    assert "need at least 2 colors" in err
+
+
 def test_cli_dynamics_exact_runs_a_two_color_tree_of_any_depth(capsys):
     # k = 2 leaves 2 proper colorings, each frozen, on 2047 vertices
     code, out, _ = run_cli(
