@@ -22,11 +22,13 @@ per parent color, so a frontier vertex (and a whole move at block depth
 0) decodes with one list lookup.  The memo's subtree tables are keyed by
 the frontier masks beneath them and shared between blocks, so a block
 seen for the first time counts only the subtrees no earlier block had.
-A chain draws its vertex choices and words in batches, runs on one list
-of colors, keeps its memo for the length of the call, and validates its
-coloring once, at exit; single moves (`heat_bath_block`, `step`) read
-the same cached plans and share one memo per block shape, draw one word,
-copy, redraw and validate the new state.  The properness checks of `run_chain` and `step` raise, so
+Every move reads one memo per block shape (`_shape_memo`), kept for the
+life of the process and bounded by `_MEMO_CAP`; its contents change no
+draw, only what a move recounts.  A chain draws its vertex choices and
+words in batches, runs on one list of colors, and validates its coloring
+once, at exit; single moves (`heat_bath_block`, `step`) read the same
+cached plans and memos, draw one word, copy, redraw and validate the new
+state.  The properness checks of `run_chain` and `step` raise, so
 `python -O` keeps them.
 
 On instances small enough to enumerate, the states are the rows of one
@@ -64,7 +66,7 @@ _POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives u
 # row entries build_transition_matrix may write: (2,1,12,1) measured about
 # 100 bytes per entry, so about 0.5 GB at the guard
 _MATRIX_ENTRY_GUARD = 5 * 10**6
-_MEMO_CAP = 1 << 15  # lists one chain's memo keeps (see _Memo), whatever its length
+_MEMO_CAP = 1 << 15  # lists one block shape's memo keeps for the life of the process (see _Memo)
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
 
@@ -101,13 +103,20 @@ def block_root(shape: TreeShape, v: int, block_depth: int) -> int:
     same block as their ancestors instead of a truncated one.
     """
     shape._check_vertex(v)
-    if block_depth < 0:
-        raise ValidationError("block_depth must be >= 0")
+    _check_integer("block_depth", block_depth, 0)
     for _ in range(block_depth):
         if v == 0:
             break
         v = (v - 1) // shape.branching
     return v
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise unless `value` is an integer (numpy's included) >= `least`."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
 
 
 class _Plan(NamedTuple):
@@ -130,11 +139,12 @@ class _Plan(NamedTuple):
     outside: slice
 
 
-@lru_cache(maxsize=1024)  # a plan holds one block's vertices
+# a plan holds one block's vertices; typed, so a float block_depth equal to
+# a cached int misses and raises
+@lru_cache(maxsize=1024, typed=True)
 def _plan(shape: TreeShape, v: int, block_depth: int) -> _Plan:
     """The block under v, truncated at the leaves."""
-    if block_depth < 0:
-        raise ValidationError("block_depth must be >= 0")
+    _check_integer("block_depth", block_depth, 0)
     b, n = shape.branching, shape.vertex_count
     height, bottom = 0, v
     while height < block_depth and bottom * b + 1 < n:  # bottom is not a leaf
@@ -158,7 +168,8 @@ def _plan(shape: TreeShape, v: int, block_depth: int) -> _Plan:
 
 
 class _Memo:
-    """The block tables one chain has built, and the subtree tables they share.
+    """The block tables built for one block shape, and the subtree tables
+    they share.
 
     A subtree's table lists one node per vertex, in pre-order, and is
     keyed by the masks of outside colors of the frontier vertices beneath
@@ -174,8 +185,8 @@ class _Memo:
 
     A move looks its block's table up by the colors of the frontier's
     outside children, in level order; one memo serves blocks of one
-    height, as every block of a chain has, and single moves share one
-    per block shape (`_move_memo`).  Everything kept counts
+    height, as every block of a chain has, and every move reads the one
+    of its block shape (`_shape_memo`).  Everything kept counts
     against `_MEMO_CAP`: one per block-table key, and one per list a
     subtree table adds (itself, and its top node's).  Past the cap, tables
     are built and used but not kept.
@@ -247,15 +258,16 @@ def heat_bath_block(
 def _redraw(state: DynamicsState, plan: _Plan, gen: np.random.Generator, time: int):
     """`state` with the block of `plan` redrawn from one fresh word, at `time`."""
     values = state.coloring.values.tolist()
-    memo = _move_memo(state.shape.branching, state.k, len(plan.frontier))
+    memo = _shape_memo(state.shape.branching, state.k, len(plan.frontier))
     _resample(values, plan, _words(gen), gen, memo)
     return DynamicsState(state.shape, state.k, FullColoring(state.k, values), time)
 
 
 @lru_cache(maxsize=8)  # a memo keeps at most _MEMO_CAP lists
-def _move_memo(b: int, k: int, width: int) -> _Memo:
-    """The memo that single moves share, one per block shape: a memo's
-    contents change no draw, only what a move recounts."""
+def _shape_memo(b: int, k: int, width: int) -> _Memo:
+    """The memo every move on blocks of `width` frontier vertices reads,
+    one per block shape for the life of the process: its contents change
+    no draw, only what a move recounts."""
     return _Memo(b, k)
 
 
@@ -342,22 +354,23 @@ def run_chain(
     only its block, and the final coloring is validated once, as a
     `FullColoring` and for properness (an improper one raises
     ValidationError), when the chain returns; `state` itself is
-    unchanged.  The block-count memo lives for this call only.
+    unchanged.  The block counts come from the memo of the chain's block
+    shape (`_shape_memo`), which later chains of that shape reuse.
+    `block_depth`, `steps` and `thin` must be integers.
     """
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
-    if thin < 1:
-        raise ValidationError("thin must be >= 1")
-    if steps == 0:
-        return state
+    _check_integer("steps", steps, 0)
+    _check_integer("thin", thin, 1)
     shape, k = state.shape, state.k
-    gen = rng.generator
     plan_of = [
         _plan(shape, block_root(shape, v, block_depth), block_depth)
         for v in range(shape.vertex_count)
     ]
+    if steps == 0:
+        return state
+    gen = rng.generator
     values = state.coloring.values.tolist()
-    memo = _Memo(shape.branching, k)
+    # every block of a chain has height min(block_depth, depth), so one width
+    memo = _shape_memo(shape.branching, k, len(plan_of[0].frontier))
     done = 0
     while done < steps:
         size = min(_CHUNK, steps - done)
@@ -368,7 +381,7 @@ def run_chain(
             if visit_counts is not None and done % thin == 0:
                 key = tuple(values)
                 visit_counts[key] = visit_counts.get(key, 0) + 1
-    final = DynamicsState(shape, k, FullColoring(k, values), state.time + steps)
+    final = DynamicsState(shape, k, FullColoring(k, values), state.time + int(steps))
     _check_proper(final)
     return final
 

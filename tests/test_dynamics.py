@@ -379,20 +379,56 @@ def test_run_chain_draw_stream_is_pinned(dims, block_depth, steps, seed, final):
     [((2, 4, 3), 0, 2000, 813), ((2, 6, 3), 2, 1500, 814), ((3, 4, 4), 1, 1500, 815),
      ((2, 5, 5), 3, 600, 816)],
 )
-def test_memo_changes_no_draw(monkeypatch, cap, dims, block_depth, steps, seed):
-    # a chain that stores nothing, or stops storing partway, draws the same
-    # completions as one that keeps every block count it computes
+def test_memo_changes_no_draw(request, monkeypatch, cap, dims, block_depth, steps, seed):
+    # a chain on a cold memo, one on the tables it kept, and one whose memo
+    # stores nothing or stops storing partway all draw the same completions
     branching, depth, k = dims
     start = striped_state(TreeShape(branching, depth), k)
+    request.addfinalizer(dynamics._shape_memo.cache_clear)
 
     def chain():
         visits: dict = {}
         out = run_chain(start, block_depth, steps, RandomSource(seed), visit_counts=visits, thin=7)
         return out.coloring.values.tolist(), visits
 
+    dynamics._shape_memo.cache_clear()
     kept = chain()
-    monkeypatch.setattr(dynamics, "_MEMO_CAP", cap)
     assert chain() == kept
+    # the capped chain must fill its own memo, not read the kept tables
+    monkeypatch.setattr(dynamics, "_MEMO_CAP", cap)
+    dynamics._shape_memo.cache_clear()
+    assert chain() == kept
+
+
+def test_chains_share_one_bounded_memo_per_block_shape(request, monkeypatch):
+    # nine chains of distinct (b, k, width) leave the eight latest memos,
+    # each within the cap, which some of them reach
+    request.addfinalizer(dynamics._shape_memo.cache_clear)
+    monkeypatch.setattr(dynamics, "_MEMO_CAP", 200)
+    dynamics._shape_memo.cache_clear()
+    shapes = [(2, 3, 3, 0), (2, 3, 3, 1), (2, 3, 3, 2), (2, 3, 4, 0), (2, 3, 4, 1),
+              (2, 3, 4, 2), (3, 2, 3, 0), (3, 2, 3, 1), (3, 2, 4, 1)]
+    for seed, (branching, depth, k, block_depth) in enumerate(shapes, 830):
+        run_chain(striped_state(TreeShape(branching, depth), k), block_depth, 400,
+                  RandomSource(seed))
+    assert dynamics._shape_memo.cache_info().currsize == 8
+    misses = dynamics._shape_memo.cache_info().misses
+    sizes = [dynamics._shape_memo(branching, k, branching**block_depth).size
+             for branching, _, k, block_depth in shapes[1:]]
+    assert dynamics._shape_memo.cache_info().misses == misses
+    assert min(sizes) > 0 and max(sizes) == 200
+
+
+def test_rerun_chain_builds_no_new_block_table(request):
+    request.addfinalizer(dynamics._shape_memo.cache_clear)
+    dynamics._shape_memo.cache_clear()
+    start = striped_state(TreeShape(2, 6), 3)
+    first = run_chain(start, 2, 1500, RandomSource(840))
+    memo = dynamics._shape_memo(2, 3, 4)
+    tables = len(memo.tables)
+    assert tables > 0
+    assert run_chain(start, 2, 1500, RandomSource(840)) == first
+    assert len(memo.tables) == tables
 
 
 def test_memo_keeps_at_most_cap_lists(monkeypatch):
@@ -516,6 +552,40 @@ def test_run_chain_thinning_tallies():
         run_chain(start, 0, 10, RandomSource(9), thin=0)
     with pytest.raises(ValidationError):
         run_chain(start, 0, -1, RandomSource(9))
+
+
+NON_INTEGER_ARGUMENTS = {
+    # each quietly ran, or died with a TypeError, on a non-integer argument
+    "heat_bath_block-block_depth": lambda state, rng: heat_bath_block(state, 0, 1.5, rng),
+    "step-block_depth": lambda state, rng: step(state, 1.5, rng),
+    "run_chain-block_depth": lambda state, rng: run_chain(state, 1.0, 30, rng),
+    "run_chain-steps": lambda state, rng: run_chain(state, 0, 2.5, rng),
+    "run_chain-thin": lambda state, rng: run_chain(state, 0, 30, rng, visit_counts={}, thin=1.5),
+    "block_root-block_depth": lambda state, rng: block_root(state.shape, 3, 1.0),
+    "block_vertices-block_depth": lambda state, rng: block_vertices(state.shape, 0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_ARGUMENTS.values(), ids=NON_INTEGER_ARGUMENTS)
+def test_chain_arguments_must_be_integers(call):
+    shape = TreeShape(2, 3)
+    # a cached depth-1 plan must not let a block_depth of 1.0 through
+    block_vertices(shape, 0, 1)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(striped_state(shape, 3), RandomSource(9))
+
+
+def test_chain_arguments_accept_numpy_integers():
+    start = striped_state(TreeShape(2, 3), 3)
+    visits: dict = {}
+    out = run_chain(start, np.int64(1), np.int64(30), RandomSource(9), visit_counts=visits,
+                    thin=np.int32(3))
+    assert out == run_chain(start, 1, 30, RandomSource(9))
+    assert type(out.time) is int
+    assert sum(visits.values()) == 10
+    assert block_vertices(start.shape, 0, np.int64(1)) == [0, 1, 2]
+    assert block_root(start.shape, 3, np.int8(1)) == 1
+    assert step(start, np.int64(1), RandomSource(9)) == step(start, 1, RandomSource(9))
 
 
 def test_thinned_visits_match_uniform_stationary_law():
