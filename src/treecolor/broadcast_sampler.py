@@ -17,8 +17,9 @@ with no other unused color, then each other vertex's pairs together, the
 vertices in sibling order.  The unbiasing classifier sees a bottom block
 only through its count 1 + u of unused colors, and the law of u does not
 depend on the parent's color, so the counts of all bottom blocks are
-i.i.d.: `estimate_q` draws them directly (`_unused_slots`), with no
-broadcast and no sets.
+i.i.d.: `estimate_q` draws whether each reaches its threshold directly,
+with the uniforms `_unused_slots` would invert into u, and no broadcast
+and no sets.
 
 `posterior_rows` goes further up.  A vertex's upward message (the law of
 its color given the leaves below it, under a uniform prior) depends only

@@ -10,10 +10,10 @@ root law is the root's counts normalized.  Extension counts,
 interior-vertex marginals and the heat-bath block move in `dynamics`
 read the same counts.  The kernel has two bodies with the same exact
 integers, picked by the number of bottom vectors: large bottoms compute
-each level as one numpy expression over an object array of Python ints;
-small ones, such as the frontier of a heat-bath block, keep a list loop,
-where numpy's fixed cost per call would outweigh the per-vertex products
-it saves.
+each level as one numpy expression, in int64 while the counts provably
+fit and over Python ints from there; small ones, such as the frontier of
+a heat-bath block, keep a list loop, where numpy's fixed cost per call
+would outweigh the per-vertex products it saves.
 
 The exact laws of upward messages live here too.  A vertex's message
 (its counts, normalized) depends only on the leaves below it, which given
@@ -153,17 +153,19 @@ _ARRAY_BODY_MIN_VECTORS = 16
 def count_levels(bottom, branching: int, height: int) -> list:
     """Proper-coloring counts of every vertex of a complete subtree, by color.
 
-    `bottom` holds one 0/1 allowed-color vector per bottom vertex, left to
-    right, as a list of lists or an integer array.  A vertex above colored
-    c extends each child's subtree in (the sum of the child's counts - the
-    child's count for c) ways, so its counts are the products of those
-    over its children.  Returns every level of exact integer counts,
+    `bottom` holds one nonnegative integer vector per bottom vertex, left
+    to right, as a list of lists or an integer array: 0/1 allowed colors at
+    leaves, or a subtree's counts.  A vertex above colored c extends each
+    child's subtree in (the sum of the child's counts - the child's count
+    for c) ways, so its counts are the products of those over its
+    children.  Returns every level of exact integer counts,
     bottom level first; the last level holds the top vertex alone, and
     `levels[h][i][c]` is a Python int.
 
     Two bodies compute the same integers.  From _ARRAY_BODY_MIN_VECTORS
-    bottom vectors up, each level is one numpy expression over an object
-    array of Python ints, and the levels are (width, k) object arrays.
+    bottom vectors up, each level is one numpy expression, in int64 while
+    a bound on the counts proves they fit and over Python ints from there,
+    and the levels are returned as (width, k) object arrays of Python ints.
     Below it a list loop makes the products one vertex at a time, and the
     levels are lists of lists: the small bottoms of the heat-bath moves in
     `dynamics` would pay more in numpy's per-call cost than they save.
@@ -176,14 +178,28 @@ def count_levels(bottom, branching: int, height: int) -> list:
 
 
 def _count_levels_array(bottom, branching: int, height: int) -> list:
-    counts = np.asarray(bottom, dtype=object)  # Python ints: never wraps
+    # a list goes through Python ints: numpy would make floats of some
+    counts = bottom if isinstance(bottom, np.ndarray) else np.array(bottom, dtype=object)
     k = counts.shape[1]
+    # every count is at most `bound`, tracked in Python ints: a level's
+    # completions are at most k * bound and its counts products of
+    # `branching` of them, so int64 holds a level while
+    # (k * bound) ** branching stays below 2**63; from the first level that
+    # could not, Python ints
+    bound = int(counts.max())
+    counts = counts.astype(np.int64 if bound < 2**63 else object, copy=False)
     levels = [counts]
     for _ in range(height):
-        completions = counts.sum(axis=1, keepdims=True) - counts
-        counts = completions.reshape(-1, branching, k).prod(axis=1)
+        bound = (k * bound) ** branching
+        if bound >= 2**63:
+            counts = counts.astype(object, copy=False)
+        # sums and products of column and sibling slices: numpy reduces a
+        # short axis several times slower
+        total = sum(counts[:, c : c + 1] for c in range(k))
+        completions = (total - counts).reshape(-1, branching, k)
+        counts = math.prod(completions[:, j] for j in range(branching))
         levels.append(counts)
-    return levels
+    return [level.astype(object, copy=False) for level in levels]
 
 
 def _count_levels_list(bottom: list, branching: int, height: int) -> list:

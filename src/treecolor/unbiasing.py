@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import broadcast_sampler
 from .errors import RegimeError, ValidationError
 from .estimators import Estimate, batch_sums, proportion_estimate
+from .exact_engine import _unused_slot_law
 from .rng import RandomSource
 from .tree_model import PartialLeafColoring, TreeShape, _check_k, check_leaf_coloring
 
@@ -57,13 +57,17 @@ def epsilon_from(k: int, branching: int) -> UnbiasingParams:
     return UnbiasingParams(min(C - 1.0, 1 / 3))
 
 
+def _block_threshold(branching: int, eps: float) -> float:
+    """The unused count a bottom block must reach to pass, less the tie slack."""
+    return branching ** (eps / 2) - _TIE
+
+
 def _level_flags(
-    unused_counts: np.ndarray, branching: int, depth: int, eps: float
+    block_flags: np.ndarray, branching: int, depth: int, eps: float
 ) -> list[np.ndarray]:
-    """Pass/fail flags per height, starting from per-block unused counts."""
-    base_threshold = branching ** (eps / 2)
+    """Pass/fail flags per height, starting from the bottom blocks' flags."""
     step_threshold = branching ** (1 - eps)
-    flags = [unused_counts >= base_threshold - _TIE]
+    flags = [block_flags]
     for _ in range(depth - 1):
         failed = (~flags[-1]).reshape(flags[-1].shape[0], -1, branching).sum(axis=2)
         flags.append(failed <= step_threshold + _TIE)
@@ -91,7 +95,8 @@ def classify_rows(
     if rows.ndim != 2 or rows.shape[1] != shape.leaf_count:
         raise ValidationError("leaf_rows must be (batch, leaf_count)")
     unused = _unused_counts_from_rows(rows, shape.branching, k)
-    return _level_flags(unused, shape.branching, shape.depth, params.epsilon)
+    passed = unused >= _block_threshold(shape.branching, params.epsilon)
+    return _level_flags(passed, shape.branching, shape.depth, params.epsilon)
 
 
 def is_unbiasing(
@@ -141,8 +146,13 @@ def estimate_q(
     The classifier sees a bottom block only through its unused count
     1 + u, and u has the occupancy law of `branching` balls in the k-1
     colors other than the parent's, whatever that color is; so the counts
-    of all branching**(depth-1) bottom blocks are i.i.d. and are drawn
-    directly, without broadcasting any level of the tree.
+    of all branching**(depth-1) bottom blocks are i.i.d., and so are their
+    pass flags, which are drawn directly, without broadcasting any level of
+    the tree.  A block passes iff u >= u*, the least u with 1 + u at or
+    above the threshold.  Drawn as `broadcast_sampler._unused_slots` draws
+    it, u counts the entries of the CDF of `_unused_slot_law` at or below a
+    uniform x, so the block passes iff x >= cdf[u* - 1]: one uniform and
+    one comparison per block, from the same stream.
     """
     _check_k(k)
     if shape.depth < 1:
@@ -150,10 +160,17 @@ def estimate_q(
     heights = qualifying_heights(shape, params) if highly else None
     blocks = shape.branching ** (shape.depth - 1)
     gen = rng.generator
+    least = max(0, math.ceil(_block_threshold(shape.branching, params.epsilon)) - 1)
+    if least == 0:
+        cut = 0.0  # every block passes
+    elif least > k - 2:
+        cut = math.inf  # u <= k - 2, so no block passes
+    else:
+        cut = _unused_slot_law(shape.branching, k)[1][least - 1]
 
     def failed(m: int) -> np.ndarray:
-        unused = 1 + broadcast_sampler._unused_slots(shape.branching, k, (m, blocks), gen)
-        flags = _level_flags(unused, shape.branching, shape.depth, params.epsilon)
+        passed = gen.random((m, blocks)) >= cut
+        flags = _level_flags(passed, shape.branching, shape.depth, params.epsilon)
         if highly:
             good = np.ones(m, dtype=bool)
             for h in heights:

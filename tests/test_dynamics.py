@@ -1,6 +1,8 @@
 """Heat-bath block dynamics: kernels, exact matrices, mixing, entropy."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -936,6 +938,11 @@ def test_to_dense_rounds_a_denominator_beyond_double_precision(p):
     assert_dense_is_rounded_fractions(two_state_matrix(p))
 
 
+def test_to_dense_places_the_entries_of_an_asymmetric_matrix():
+    # rows stochastic, columns not: a transposed placement would show
+    assert_dense_is_rounded_fractions(make_matrix([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}], 3))
+
+
 def assert_dense_is_rounded_fractions(matrix):
     dense = matrix.to_dense()
     assert dense.dtype == np.float64
@@ -950,6 +957,115 @@ def test_mixing_time_state_guard():
     big = make_matrix([{i: 1} for i in range(401)], 1)
     with pytest.raises(CapacityError):
         mixing_time_exact(big)
+
+
+def mixing_instances(most: int = dynamics._MIXING_STATE_GUARD):
+    """Every (branching, depth, k, block_depth) with k >= 3, depth >= 1 and
+    at most `most` states: k grows until the state count passes `most`, and
+    so do the depth and then the branching."""
+    instances = []
+    for branching in itertools.count(2):
+        if state_space_size(TreeShape(branching, 1), 3) > most:
+            return instances
+        for depth in itertools.count(1):
+            if state_space_size(TreeShape(branching, depth), 3) > most:
+                break
+            for k in itertools.count(3):
+                if state_space_size(TreeShape(branching, depth), k) > most:
+                    break
+                instances += [(branching, depth, k, bd) for bd in range(depth + 1)]
+
+
+def all_starts(matrix: TransitionMatrix) -> TransitionMatrix:
+    """The same rows with no orbit starts, so every row is propagated."""
+    copy = dataclasses.replace(matrix)
+    assert matrix._starts is not None and copy._starts is None
+    return copy
+
+
+@pytest.mark.parametrize("branching, depth, k, block_depth", mixing_instances())
+def test_orbit_starts_give_the_all_starts_mixing_time(branching, depth, k, block_depth):
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    assert mixing_time_exact(matrix) == mixing_time_exact(all_starts(matrix))
+
+
+def test_mixing_instances_reach_the_guard():
+    instances = mixing_instances()
+    sizes = {state_space_size(TreeShape(b, d), k) for b, d, k, _ in instances}
+    assert max(sizes) == 392  # (2, 1, 8): k = 9 has 648 states
+    assert (2, 2, 3, 0) in instances and (7, 1, 3, 1) in instances
+    assert len(instances) == 31
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k", [(2, 1, 3), (2, 1, 4), (2, 2, 3), (3, 1, 4), (3, 2, 2), (4, 1, 3)]
+)
+def test_symmetries_commute_with_the_kernel(branching, depth, k):
+    shape = TreeShape(branching, depth)
+    images = dynamics._symmetries(shape, k)
+    # k - 1 color transpositions, branching - 1 sibling swaps per internal vertex
+    internal = (shape.vertex_count - 1) // branching
+    assert len(images) == k - 1 + internal * (branching - 1)
+    states = enumerate_states(shape, k)
+    for image in images:
+        assert sorted(image.tolist()) == list(range(len(states)))
+        for block_depth in range(depth + 1):
+            rows = build_transition_matrix(shape, k, block_depth).rows
+            for i, row in enumerate(rows):
+                moved = rows[image[i]]
+                assert len(moved) == len(row)
+                assert all(moved[image[j]] == num for j, num in row.items())
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, orbits",
+    [(2, 2, 3, 12), (2, 1, 3, 2), (2, 1, 4, 2), (3, 1, 4, 3), (2, 2, 4, 34), (2, 0, 5, 1)],
+)
+def test_orbits_partition_the_states(branching, depth, k, orbits):
+    shape = TreeShape(branching, depth)
+    labels = dynamics._orbits(shape, k)
+    assert not labels.flags.writeable
+    starts = build_transition_matrix(shape, k, 0)._starts
+    assert len(starts) == orbits
+    assert starts.tolist() == sorted(set(labels.tolist()))
+    assert int(np.bincount(labels)[starts].sum()) == state_space_size(shape, k)
+    index = np.arange(labels.size)
+    assert (labels <= index).all() and (labels[starts] == starts).all()
+    for image in dynamics._symmetries(shape, k):
+        assert (labels[image] == labels).all()  # an orbit is closed under each generator
+
+
+def test_state_index_reads_the_radix_back():
+    for shape, k in [(TreeShape(2, 2), 3), (TreeShape(3, 1), 5), (TreeShape(2, 5), 2)]:
+        states = dynamics._state_array(shape, k)
+        index = dynamics._state_index(states, shape, k)
+        assert index.tolist() == list(range(len(states)))
+
+
+def test_hand_built_matrix_propagates_every_row():
+    # a symmetric doubly-stochastic chain whose three starts have different
+    # TVs; nothing proves a symmetry, so no start may be skipped
+    matrix = make_matrix([{0: 2, 1: 2}, {0: 2, 1: 1, 2: 1}, {1: 1, 2: 3}], 4)
+    assert matrix._starts is None
+    dense = matrix.to_dense()
+    power = np.linalg.matrix_power(dense, 2)
+    tvs = 0.5 * np.abs(power - 1 / 3).sum(axis=1)
+    assert len(set(tvs.round(12).tolist())) == 3
+    t_mix = mixing_time_exact(matrix)
+    assert t_mix == dynamics._mixing_time_integer(matrix)
+    one_start = make_matrix(matrix.rows, 4)
+    object.__setattr__(one_start, "_starts", np.array([1]))
+    assert mixing_time_exact(one_start) < t_mix  # start 1 mixes first
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth",
+    [(2, 1, 3, 0), (2, 1, 4, 0), (2, 1, 3, 1), (3, 1, 3, 0), (2, 1, 5, 0), (4, 1, 3, 0)],
+)
+def test_integer_path_from_orbit_starts_matches_all_starts(branching, depth, k, block_depth):
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    integer = dynamics._mixing_time_integer
+    assert integer(matrix) == integer(all_starts(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -483,9 +483,24 @@ def as_lists(levels):
     return [[list(vec) for vec in level] for level in levels]
 
 
-@pytest.mark.parametrize("branching, depth, k", [(2, 10, 3), (3, 6, 4), (5, 3, 6)])
+def int64_levels(bottom_max: int, k: int, branching: int, height: int) -> int:
+    """How many levels above the bottom the array body may take in int64."""
+    bound, levels = bottom_max, 0
+    while levels < height and (k * bound) ** branching < 2**63:
+        bound, levels = (k * bound) ** branching, levels + 1
+    return levels
+
+
+# the array body leaves int64 at level 5 of (2, 10, 3), 3 of (3, 6, 4), 2 of
+# (5, 3, 6) and 3 of (4, 5, 5); (16, 2, 16) leaves it at once: 16**16 = 2**64
+@pytest.mark.parametrize(
+    "branching, depth, k", [(2, 10, 3), (3, 6, 4), (5, 3, 6), (4, 5, 5), (16, 2, 16)]
+)
 def test_count_levels_bodies_agree_on_both_sides_of_the_threshold(branching, depth, k):
+    switch = int64_levels(1, k, branching, depth)
+    assert switch < depth and (switch > 0) == (branching < 16)
     rng = np.random.default_rng(branching * 100 + k)
+    largest = 0
     for trial in range(3):
         bottom = (rng.random((branching**depth, k)) < 0.6).astype(np.int64)
         bottom[rng.random(len(bottom)) < 0.2] = 1  # STAR: every color allowed
@@ -498,7 +513,23 @@ def test_count_levels_bodies_agree_on_both_sides_of_the_threshold(branching, dep
             assert all(type(x) is int for level in got for vec in level for x in vec)
             assert as_lists(count_levels(rows, branching, height)) == expected
             assert as_lists(count_levels(rows.tolist(), branching, height)) == expected
-    assert branching**depth >= _ARRAY_BODY_MIN_VECTORS > branching
+            largest = max(largest, *(x for level in expected for vec in level for x in vec))
+    assert largest >= 2**63  # counts outgrow int64 above the switch: a late one would wrap
+    if branching < 16:  # (16, 2, 16) tests the array body past int64 at once
+        assert branching**depth >= _ARRAY_BODY_MIN_VECTORS > branching
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**62, 2**70])
+def test_count_levels_array_body_on_count_bottoms(scale):
+    # a heat-bath block with 16 or more children hands the array body its
+    # children's counts, not 0/1 vectors, some past int64 and as lists
+    rng = np.random.default_rng(16)
+    bottom = [[int(x) * scale for x in row] for row in rng.integers(0, 1000, size=(256, 5))]
+    for height, rows in ((0, bottom[:16]), (1, bottom[:16]), (2, bottom)):
+        expected = _count_levels_list(rows, 16, height)
+        got = _count_levels_array(rows, 16, height)
+        assert as_lists(got) == expected, height
+        assert all(type(x) is int for level in got for vec in level for x in vec)
 
 
 def test_count_levels_all_star_counts_exceed_int64():

@@ -25,6 +25,8 @@ from treecolor import (
     sample_leaf_rows,
     star_out,
 )
+from treecolor import broadcast_sampler, unbiasing
+from treecolor.estimators import batch_sums, proportion_estimate
 from treecolor.unbiasing import classify_rows, qualifying_heights
 
 from conftest import CHI2_P_FLOOR
@@ -374,3 +376,48 @@ def test_estimate_q_matches_leaf_classifier(branching, k, depth, highly):
     fails = round(est.mean * n), int((~good).sum())
     _, p, _, _ = stats.chi2_contingency([[f, n - f] for f in fails])
     assert p > CHI2_P_FLOOR
+
+
+def estimate_q_from_counts(shape, k, params, samples, rng, highly):
+    """Oracle: every bottom block's unused count drawn by inverting the CDF
+    of its law, then compared with the real-valued threshold."""
+    b, eps = shape.branching, float(params.epsilon)
+    blocks = b ** (shape.depth - 1)
+    gen = rng.generator
+
+    def failed(m):
+        unused = 1 + broadcast_sampler._unused_slots(b, k, (m, blocks), gen)
+        flags = unbiasing._level_flags(unused >= b ** (eps / 2) - 1e-9, b, shape.depth, eps)
+        if highly:
+            heights = qualifying_heights(shape, params)
+            good = np.logical_and.reduce([flags[h - 1].all(axis=1) for h in heights])
+        else:
+            good = flags[-1][:, 0]
+        return ~good
+
+    failures, _ = batch_sums(samples, blocks, failed)
+    return proportion_estimate(int(failures), samples)
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, eps",
+    [
+        (64, 2, 5, Fraction(1, 3)),  # 64**(1/6) is exactly 2: u* = 1 at the tie
+        (64, 2, 3, 1 / 3),
+        (20, 3, 9, 0.2),
+        (3, 4, 4, 0.3),
+        (100, 2, 3, Fraction(1, 3)),  # u* = 2 > k - 2: no block passes
+        (4, 3, 3, 1e-10),  # u* = 0: every block passes
+        (5, 3, 2, 0.2),  # k = 2: u is always 0
+    ],
+)
+def test_estimate_q_equals_the_count_route(branching, depth, k, eps):
+    # the same uniforms, compared once against a CDF entry instead of
+    # inverted into counts: every Estimate is identical
+    assert 64 ** (Fraction(1, 3) / 2) == 2.0
+    shape, params = TreeShape(branching, depth), UnbiasingParams(eps)
+    for seed in range(3):
+        for highly in (False, True):
+            got = estimate_q(shape, k, params, 2000, RandomSource(seed), highly=highly)
+            want = estimate_q_from_counts(shape, k, params, 2000, RandomSource(seed), highly)
+            assert got == want, (seed, highly)
