@@ -11,15 +11,14 @@ its leaves leave unused, and that set is drawn without the leaves.  The
 block's Delta leaves are Delta balls thrown uniformly into the k-1 colors
 other than the parent's, so the number of those colors left empty follows
 the occupancy law, and given that number the empty colors are a uniform
-subset.  `_unused_entries` is the one draw of these sets; it returns them
-sparsely, as (vertex, color) pairs: first the own colors of the vertices
-with no other unused color, then each other vertex's pairs together, the
-vertices in sibling order.  The unbiasing classifier sees a bottom block
-only through its count 1 + u of unused colors, and the law of u does not
-depend on the parent's color, so the counts of all bottom blocks are
-i.i.d.: `estimate_q` draws whether each reaches its threshold directly,
-with the uniforms `_unused_slots` would invert into u, and no broadcast
-and no sets.
+subset.  `_unused_by_color` is the one draw of these sets; it returns
+them by color: the vertices whose own color is the only unused one, and
+for every color the other vertices whose set holds it, in vertex order.
+The unbiasing classifier sees a bottom block only through its count 1 + u
+of unused colors, and the law of u does not depend on the parent's color,
+so the counts of all bottom blocks are i.i.d.: `estimate_q` draws whether
+each reaches its threshold directly, from the uniforms `_unused_by_color`
+would invert into u, with no broadcast and no sets.
 
 `posterior_rows` goes further up.  A vertex's upward message (the law of
 its color given the leaves below it, under a uniform prior) depends only
@@ -30,12 +29,12 @@ law `_unused_slot_law`) and their float tables; this module only samples
 from them.  The sampler broadcasts down to depth depth - h only, draws
 each vertex's message there from its table by guide-table inversion of
 its CDF, and folds the levels above in floats, color-major
-(`exact_engine._fold_factors`).  At h = 1 one ordered `np.bincount` sums
-the occupancy pairs above straight into their parents' log-weights, the
-same sums in the same order as the fold's sibling sums, and the fold goes
-on from there (`exact_engine._fold_log_weights`).  `sample_down_up`
-redraws a root color from one such row, so every posterior draw takes
-this route.
+(`exact_engine._fold_factors`).  At h = 1 one `np.bincount` per color
+sums the log-factors of the vertices whose sets hold that color straight
+into their parents' log-weights, in vertex order, the same sums in the
+same order as the fold's sibling sums, and the fold goes on from there
+(`exact_engine._fold_log_weights`).  `sample_down_up` redraws a root
+color from one such row, so every posterior draw takes this route.
 
 Root colors, drawn or given, enter every sampler here through `_root_level`.
 """
@@ -120,56 +119,51 @@ def sample_leaf_rows(
     return _level_at(k, shape.branching, shape.depth, n, rng.generator, root_colors)
 
 
-def _unused_slots(branching: int, k: int, size, gen) -> np.ndarray:
-    """Independent draws of u, the number of non-parent colors a bottom
-    block leaves unused, by inverting the CDF of `_unused_slot_law`.
+def _unused_by_color(parents: np.ndarray, k: int, branching: int, gen) -> tuple:
+    """The colors each parent's `branching` fresh children leave unused,
+    by color, as (idle, busy, sizes, held), colors 0-based.
 
-    The law of u does not depend on the parent's color, so the unused
-    counts 1 + u of all bottom blocks are i.i.d.  u is the number of CDF
-    entries at or below a uniform x in [0, 1), counted with one pass per
-    entry strictly between 0 and 1.
+    idle lists the parents whose own color is the only unused one (u = 0),
+    busy the others, both in increasing order; busy parent busy[j] leaves
+    sizes[j] = 1 + u colors unused, and held[c, j] says whether color c is
+    one of them, so busy[held[c]] are the busy parents whose set holds c,
+    in increasing order.
+
+    The stream: u, the number of the k-1 non-parent colors left unused, is
+    drawn for every parent with one uniform each, inverting the CDF of
+    `_unused_slot_law` (u counts the CDF entries at or below the uniform,
+    with one pass per entry strictly between 0 and 1); the busy parents
+    then pick a uniform u-subset of the k-1 non-parent slots by selection
+    sampling, one uniform per busy parent and slot, slot by slot.  Slot s
+    is color s below the parent's color and s + 1 above it.
     """
+    own = parents.reshape(-1) - 1
     _, cdf = _unused_slot_law(branching, k)
-    x = gen.random(size)
+    x = gen.random(own.size)
     u = np.full(x.shape, np.count_nonzero(cdf == 0), dtype=np.int16)
     for step in cdf[(cdf > 0) & (cdf < 1)]:
         u += x >= step
-    return u
-
-
-def _unused_entries(parents: np.ndarray, k: int, branching: int, gen) -> tuple:
-    """The colors each parent's `branching` fresh children leave unused, as
-    (sizes, vertex, color): parent i leaves sizes[i] colors unused, and
-    every pair (vertex[j], color[j]) names one of them, colors 0-based.
-
-    The number u of non-parent colors left unused is drawn by
-    `_unused_slots`; parents with u > 0 then pick a uniform u-subset of the
-    k-1 non-parent slots by selection sampling.  The parent's color is
-    always unused.  The pairs come in this order: the own color of each
-    parent with u = 0, then all the pairs of each parent with u > 0, its
-    own color first, the parents in increasing order.  The pairs of one
-    color in one block of siblings thus come in sibling order, except that
-    the siblings with u = 0 come first; their log-factor log(1 - 1/1) is
-    -inf, which absorbs every term summed with it.
-    """
-    parent = parents.reshape(-1) - 1
-    u = _unused_slots(branching, k, parent.size, gen)
+    del x
     idle = np.flatnonzero(u == 0)
     busy = np.flatnonzero(u > 0)
     need = u[busy]
-    # column 0 is the parent's own color, column slot + 1 a non-parent slot
-    picks = np.empty((busy.size, k), dtype=bool)
-    picks[:, 0] = True
+    del u
+    sizes = need + 1
+    # row s holds slot s's picks, then moves to color s + 1 wherever the
+    # own color is at or below s; the own color joins every set
+    held = np.empty((k, busy.size), dtype=bool)
+    held[k - 1] = False
     for slot in range(k - 1):
-        pick = picks[:, slot + 1]
+        pick = held[slot]
         np.less(gen.random(busy.size) * (k - 1 - slot), need, out=pick)
         need -= pick
-    at, column = np.divmod(np.flatnonzero(picks), k)
-    vertex = busy[at]
-    own = parent[vertex]
-    # slot s is color s below the parent's color, s + 1 above it
-    color = np.where(column > 0, column - (column <= own), own).astype(parent.dtype)
-    return u + 1, np.concatenate([idle, vertex]), np.concatenate([parent[idle], color])
+    own = own[busy]
+    for color in range(k - 1, -1, -1):
+        row = held[color]
+        if color:
+            row ^= (row ^ held[color - 1]) & (own < color)
+        row |= own == color
+    return idle, busy, sizes, held
 
 
 def _table_entries(table: _MessageTable, x: np.ndarray) -> np.ndarray:
@@ -209,8 +203,10 @@ def posterior_rows(
     with one uniform through the table's guide (`_table_entries`), its
     log-factors are gathered color-major, and the levels above are folded
     in floats.  At h = 1 each vertex draws its set of unused colors
-    instead (`_unused_entries`), and the log-factors of its pairs are
-    summed straight into its parent's log-weights.  At depth 0, h = 0 and
+    instead (`_unused_by_color`); for each color, the log-factors
+    log(1 - 1/s) of the vertices whose set of size s holds it are summed
+    into their parents' log-weights, one bincount per color, and a vertex
+    whose set is its own color alone puts -inf there.  At depth 0, h = 0 and
     the table is the point mass on the root's own color.  An empty batch
     gives (0, k).
     """
@@ -223,20 +219,28 @@ def posterior_rows(
         return np.empty((0, k))
     at_root = height == shape.depth
     if height == 1:
-        sizes, vertex, color = _unused_entries(colors, k, branching, gen)
+        idle, busy, sizes, held = _unused_by_color(colors, k, branching, gen)
+        own = colors[idle] - 1
         if at_root:
             rows = np.zeros((n, k))
-            rows[vertex, color] = 1.0 / sizes[vertex]
+            rows[idle, own] = 1.0
+            rows[busy] = held.T / sizes[:, np.newaxis]
             return rows
-        # each pair adds its vertex's log(1 - 1/s) to the log-weight of its
-        # color at the vertex's parent, in pair order; the bin
-        # color * parents + parent lays the log-weights out color-major
-        with np.errstate(divide="ignore"):
-            log_factor = np.log1p(-1.0 / np.arange(1, k + 1))[sizes[vertex] - 1]
+        # each busy child adds its log(1 - 1/s) to the log-weight of every
+        # color its set holds at its parent, in child order, one bincount
+        # per color; an idle child's -inf at its own color absorbs the rest
+        log_factor = np.log1p(-1.0 / np.arange(2, k + 1))[sizes - 2]
+        parent = busy // branching
         parents = colors.size // branching
-        vertex //= branching
-        vertex += np.multiply(color, parents, dtype=np.intp)
-        logw = np.bincount(vertex, log_factor, minlength=k * parents)
+        logw = np.empty((k, parents))
+        for color, holds in enumerate(held):
+            at = np.flatnonzero(holds)
+            logw[color] = np.bincount(parent[at], log_factor[at], minlength=parents)
+        # the bin of color c at parent p is c * parents + p, in intp, since
+        # the product overflows int16
+        idle_bin = np.multiply(own, parents, dtype=np.intp)
+        idle_bin += idle // branching
+        logw.reshape(-1)[idle_bin] = -np.inf
         return _fold_log_weights(logw.reshape(k, n, -1), branching, shape.depth - 2)
     table = _message_table(branching, k, height)
     entry = _table_entries(table, gen.random(colors.size))

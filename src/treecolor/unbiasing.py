@@ -149,10 +149,10 @@ def estimate_q(
     of all branching**(depth-1) bottom blocks are i.i.d., and so are their
     pass flags, which are drawn directly, without broadcasting any level of
     the tree.  A block passes iff u >= u*, the least u with 1 + u at or
-    above the threshold.  Drawn as `broadcast_sampler._unused_slots` draws
-    it, u counts the entries of the CDF of `_unused_slot_law` at or below a
-    uniform x, so the block passes iff x >= cdf[u* - 1]: one uniform and
-    one comparison per block, from the same stream.
+    above the threshold.  Drawn as `broadcast_sampler._unused_by_color`
+    draws it, u counts the entries of the CDF of `_unused_slot_law` at or
+    below a uniform x, so the block passes iff x >= cdf[u* - 1]: one
+    uniform and one comparison per block, from the same stream.
     """
     _check_k(k)
     if shape.depth < 1:

@@ -14,8 +14,9 @@ from scipy import stats
 
 import treecolor
 from treecolor import InfeasibleBoundaryError, RandomSource, TreeShape
-from treecolor.broadcast_sampler import _level_at, _unused_entries
+from treecolor.broadcast_sampler import _level_at
 from treecolor.dynamics import block_root, block_vertices
+from treecolor.exact_engine import _unused_slot_law
 
 CHI2_P_FLOOR = 0.001
 
@@ -58,15 +59,27 @@ def block_unused_sets(
 ) -> np.ndarray:
     """(n, blocks, k) bool: True where a bottom block leaves color c unused.
 
-    The library's one occupancy draw (`_unused_entries`) below a broadcast
-    to depth - 1, scattered densely; `posterior_rows` at height 1 draws the
-    same sets from the same stream.
+    Drawn from the stream `posterior_rows` reads at height 1, written out
+    apart from the library's draw: a broadcast to depth - 1; one uniform
+    per block, whose u is the number of CDF entries of `_unused_slot_law`
+    at or below it; then k - 1 selection rounds, one uniform per block
+    with u > 0 in block order, where slot s is color s below the block's
+    own color and s + 1 above it.
     """
     gen = rng.generator
     level = _level_at(k, shape.branching, shape.depth - 1, n, gen, root_colors)
-    _, vertex, color = _unused_entries(level, k, shape.branching, gen)
-    unused = np.zeros((level.size, k), dtype=bool)
-    unused[vertex, color] = True
+    own = level.reshape(-1) - 1
+    _, cdf = _unused_slot_law(shape.branching, k)
+    u = np.searchsorted(cdf, gen.random(own.size), side="right")
+    busy = np.flatnonzero(u > 0)
+    need = u[busy]
+    unused = np.zeros((own.size, k), dtype=bool)
+    unused[np.arange(own.size), own] = True
+    for slot in range(k - 1):
+        pick = gen.random(busy.size) * (k - 1 - slot) < need
+        need = need - pick
+        color = slot + (slot >= own[busy])
+        unused[busy[pick], color[pick]] = True
     return unused.reshape(level.shape + (k,))
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -25,8 +26,9 @@ from treecolor import (
     sample_leaves_given_root,
 )
 from treecolor.broadcast_sampler import (
+    _level_at,
     _table_entries,
-    _unused_entries,
+    _unused_by_color,
     posterior_rows,
     sample_from_rows,
 )
@@ -492,6 +494,8 @@ def test_posterior_rows_at_height1_are_block_counts():
         (20, 4, 3, 5, None),   # nearly every block has u = 0: its bins are -inf
         (3, 8, 4, 10, None),   # every block has u > 0
         (20, 8, 2, 6, np.array([8, 1, 3, 3, 2, 7], dtype=np.int16)),  # the root's children
+        (20, 80, 3, 2, None),  # k > 64
+        (20, 67, 2, 3, np.array([67, 1, 40], dtype=np.int16)),
     ]:
         shape = TreeShape(branching, depth)
         unused = block_unused_sets(shape, k, n, RandomSource(4), root_colors=roots)
@@ -504,31 +508,54 @@ def test_posterior_rows_at_height1_are_block_counts():
         got = posterior_rows(shape, k, n, RandomSource(4), root_colors=roots)
         assert np.array_equal(got, expected)
     # depth 1: the root's message is uniform on its unused colors
-    unused = block_unused_sets(TreeShape(6, 1), 8, 50, RandomSource(5))[:, 0]
-    got = posterior_rows(TreeShape(6, 1), 8, 50, RandomSource(5))
-    assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
+    for branching, k in [(6, 8), (40, 70)]:
+        shape = TreeShape(branching, 1)
+        unused = block_unused_sets(shape, k, 50, RandomSource(5))[:, 0]
+        got = posterior_rows(shape, k, 50, RandomSource(5))
+        assert np.array_equal(got, unused / unused.sum(axis=1, keepdims=True))
 
 
-def test_unused_entries_pair_order():
-    # the u = 0 parents' own colors first, then each other parent's pairs
-    # together, its own color first, the parents in increasing order
-    branching, k = 6, 5
-    parents = np.random.default_rng(1).integers(1, k + 1, size=(4, 60)).astype(np.int16)
-    own = parents.reshape(-1) - 1
-    sizes, vertex, color = _unused_entries(parents, k, branching, np.random.default_rng(2))
-    idle = np.flatnonzero(sizes == 1)
-    busy = np.flatnonzero(sizes > 1)
-    assert idle.size and busy.size
-    assert np.array_equal(vertex[: idle.size], idle)
-    assert np.array_equal(color[: idle.size], own[idle])
-    rest, rest_color = vertex[idle.size :], color[idle.size :]
-    assert (np.diff(rest) >= 0).all()
-    starts = np.flatnonzero(np.diff(rest, prepend=-1))
-    assert np.array_equal(rest[starts], busy)
-    assert np.array_equal(np.diff(np.append(starts, rest.size)), sizes[busy])
-    assert np.array_equal(rest_color[starts], own[busy])
-    # no pair twice
-    assert np.unique(vertex * k + color).size == vertex.size
+@pytest.mark.parametrize("tree, k, bound_mib", [((20, 5), 8, 6.5), ((20, 4), 80, 2.0)])
+def test_posterior_rows_height1_peak_memory(tree, k, bound_mib):
+    # traced peaks of one sample were 5.19 and 1.61 MiB with the sets drawn
+    # color by color, and 7.76 and 21.2 MiB when every unused (vertex,
+    # color) pair was listed; the bounds leave a 25% margin over the first
+    shape = TreeShape(*tree)
+    posterior_rows(shape, k, 1, RandomSource(2))  # fill the law caches
+    tracemalloc.start()
+    try:
+        posterior_rows(shape, k, 1, RandomSource(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
+def test_unused_by_color_contract():
+    # the own color is always unused, s counts the set, u = 0 exactly when
+    # the own color is alone in it, and each color's busy vertices come in
+    # increasing order; the sets are those the test oracle draws
+    for branching, k, depth, idle_and_busy in [
+        (6, 5, 3, True), (20, 8, 3, True), (20, 4, 2, False), (3, 80, 3, False), (4, 2, 3, False),
+    ]:
+        shape = TreeShape(branching, depth)
+        gen = RandomSource(k).generator
+        parents = _level_at(k, branching, depth - 1, 3, gen, None)
+        own = parents.reshape(-1) - 1
+        idle, busy, sizes, held = _unused_by_color(parents, k, branching, gen)
+        assert held.shape == (k, busy.size) and sizes.shape == busy.shape
+        assert np.array_equal(np.union1d(idle, busy), np.arange(own.size))
+        assert (idle.size > 0 and busy.size > 0) == idle_and_busy
+        unused = np.zeros((own.size, k), dtype=bool)
+        unused[idle, own[idle]] = True
+        unused[busy] = held.T
+        assert unused[np.arange(own.size), own].all()
+        assert np.array_equal(unused[busy].sum(axis=1), sizes)
+        assert np.array_equal(unused.sum(axis=1) == 1, np.isin(np.arange(own.size), idle))
+        for vertices in [idle, busy] + [busy[holds] for holds in held]:
+            assert (np.diff(vertices) > 0).all()
+        oracle = block_unused_sets(shape, k, 3, RandomSource(k))
+        assert np.array_equal(unused, oracle.reshape(-1, k))
 
 
 # (branching, k, height) of every table the tests and the benchmark draw from
@@ -564,7 +591,9 @@ def test_table_draw_is_the_binary_search(branching, k, height):
 # those of a binary search over each table's CDF and a row-major fold; the
 # depth-5, k = 8 one is the color-major fold's, whose sums of 1 - m_c round
 # differently at k >= 4.  The depth-1 rows have no fold: each is 1/s on the s
-# colors the root's block leaves unused.
+# colors the root's block leaves unused.  The k > 64 digests were taken from
+# the sums over a list of (vertex, color) pairs, which the per-color sums
+# reproduce.
 PINNED_POSTERIORS = [
     ((2, 12), 3, 500, 8, None,
      "585e1c17c1da704feffa0bd9ac174480c2a0ca23441c5f651c2d142a2c0c0759"),
@@ -586,6 +615,12 @@ PINNED_POSTERIORS = [
      "5761045b9a5877b35e99592d6ee977d19cddc5a40efe02742cf0455c1e90b1cd"),
     ((20, 2), 8, 6, 15, (8, 1, 3, 3, 2, 7),
      "e37d8c74fcedaadc20da03d63902e6f85d19c7a5e676665f725c224cbdce0fca"),
+    ((20, 3), 80, 2, 16, None,
+     "73bb4f5e21b08408694c4f61361022f9ff3d2eeaaf13b1f0e883121f354c72af"),
+    ((40, 1), 70, 5, 17, None,
+     "fd48d1a6934769057bc53631da57635b60ceac2835666d9cd40d22ea985b203b"),
+    ((20, 2), 67, 3, 18, (67, 1, 40),
+     "036e2451551585d680916c80241e4aba78e36e630270c6016364c45b23262300"),
 ]
 
 

@@ -989,6 +989,19 @@ def test_orbit_starts_give_the_all_starts_mixing_time(branching, depth, k, block
     assert mixing_time_exact(matrix) == mixing_time_exact(all_starts(matrix))
 
 
+@pytest.mark.parametrize("branching, depth, k, block_depth", mixing_instances())
+def test_mixing_time_within_the_relaxation_bounds(branching, depth, k, block_depth):
+    # Levin, Peres & Wilmer, Markov Chains and Mixing Times, Theorems 12.4
+    # and 12.5 at eps = 1/(2e), uniform stationary law on n states:
+    # t_rel - 1 <= t_mix <= t_rel ln(2e n), t_rel the inverse absolute gap.
+    # P is positive semidefinite, so the absolute gap is 1 - lambda_2
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    assert np.linalg.eigvalsh(matrix.to_dense())[0] > -1e-12
+    t_rel = 1.0 / stationary_and_gap(matrix)["spectral_gap"]
+    t_mix = mixing_time_exact(matrix)
+    assert t_rel - 1 <= t_mix <= t_rel * math.log(2 * math.e * matrix.size)
+
+
 def test_mixing_instances_reach_the_guard():
     instances = mixing_instances()
     sizes = {state_space_size(TreeShape(b, d), k) for b, d, k, _ in instances}

@@ -411,8 +411,8 @@ def test_table_fold_matches_rowmajor_fold(branching, k, height, depth, n):
     (20, 3, 3, 2), (6, 5, 3, 10), (20, 8, 3, 2), (3, 8, 4, 10),
 ])
 def test_occupancy_fold_matches_rowmajor_fold(branching, k, depth, n):
-    # the posteriors summed from the occupancy pairs, against the row-major
-    # fold of the same pairs scattered densely
+    # the posteriors summed color by color from the unused-color sets,
+    # against the row-major fold of the oracle's sets of the same stream
     shape = TreeShape(branching, depth)
     unused = block_unused_sets(shape, k, n, RandomSource(k))
     expected = rowmajor_fold(unused_log_factors(unused), branching, depth - 1)

@@ -25,8 +25,9 @@ from treecolor import (
     sample_leaf_rows,
     star_out,
 )
-from treecolor import broadcast_sampler, unbiasing
+from treecolor import unbiasing
 from treecolor.estimators import batch_sums, proportion_estimate
+from treecolor.exact_engine import _unused_slot_law
 from treecolor.unbiasing import classify_rows, qualifying_heights
 
 from conftest import CHI2_P_FLOOR
@@ -378,6 +379,19 @@ def test_estimate_q_matches_leaf_classifier(branching, k, depth, highly):
     assert p > CHI2_P_FLOOR
 
 
+def _unused_slots(branching: int, k: int, size, gen) -> np.ndarray:
+    """Independent draws of u, the number of non-parent colors a bottom
+    block leaves unused, by inverting the CDF of `_unused_slot_law`: u is
+    the number of CDF entries at or below a uniform x in [0, 1), counted
+    with one pass per entry strictly between 0 and 1."""
+    _, cdf = _unused_slot_law(branching, k)
+    x = gen.random(size)
+    u = np.full(x.shape, np.count_nonzero(cdf == 0), dtype=np.int16)
+    for step in cdf[(cdf > 0) & (cdf < 1)]:
+        u += x >= step
+    return u
+
+
 def estimate_q_from_counts(shape, k, params, samples, rng, highly):
     """Oracle: every bottom block's unused count drawn by inverting the CDF
     of its law, then compared with the real-valued threshold."""
@@ -386,7 +400,7 @@ def estimate_q_from_counts(shape, k, params, samples, rng, highly):
     gen = rng.generator
 
     def failed(m):
-        unused = 1 + broadcast_sampler._unused_slots(b, k, (m, blocks), gen)
+        unused = 1 + _unused_slots(b, k, (m, blocks), gen)
         flags = unbiasing._level_flags(unused >= b ** (eps / 2) - 1e-9, b, shape.depth, eps)
         if highly:
             heights = qualifying_heights(shape, params)
