@@ -28,13 +28,17 @@ broadcast; so the message of a height-h vertex has a finite law.
 law `_unused_slot_law`) and their float tables; this module only samples
 from them.  The sampler broadcasts down to depth depth - h only, draws
 each vertex's message there from its table by guide-table inversion of
-its CDF, and folds the levels above in floats, color-major
-(`exact_engine._fold_factors`).  At h = 1 one `np.bincount` per color
-sums the log-factors of the vertices whose sets hold that color straight
-into their parents' log-weights, in vertex order, the same sums in the
-same order as the fold's sibling sums, and the fold goes on from there
-(`exact_engine._fold_log_weights`).  `sample_down_up` redraws a root
-color from one such row, so every posterior draw takes this route.
+its CDF, and folds the levels above in floats, color-major.  For each
+color it gathers the drawn messages' log-factors into one reused buffer
+and sums each block of siblings into that color's row of the parents'
+log-weights, so the (k, vertices) factor array is never built.  At h = 1
+one `np.bincount` per color sums the log-factors of the vertices whose
+sets hold that color straight into their parents' log-weights, in vertex
+order.  Both are the same sums in the same order as the fold's sibling
+sums (`exact_engine._sibling_sums`), and the fold goes on from the
+log-weights (`exact_engine._fold_log_weights`), normalizing them in
+place.  `sample_down_up` redraws a root color from one such row, so every
+posterior draw takes this route.
 
 Root colors, drawn or given, enter every sampler here through `_root_level`.
 """
@@ -46,9 +50,9 @@ from .errors import ValidationError
 from .exact_engine import (
     _MessageTable,
     _color_swaps,
-    _fold_factors,
     _fold_log_weights,
     _message_table,
+    _sibling_sums,
     _table_height,
     _unused_slot_law,
 )
@@ -86,10 +90,13 @@ def _next_level(parents: np.ndarray, k: int, branching: int, gen) -> np.ndarray:
     """Children drawn uniformly from the k-1 colors their parent avoids.
 
     Branch-free: draw r in 1..k-1 and shift it past the parent's color.
+    The comparison overwrites the repeated parent colors and the shift is
+    added into r, so a level costs two arrays of its size.
     """
     stretched = np.repeat(parents, branching, axis=1)
     r = gen.integers(1, k, size=stretched.shape, dtype=np.int16)
-    return r + (r >= stretched)
+    r += np.greater_equal(r, stretched, out=stretched)
+    return r
 
 
 def sample_full(
@@ -200,9 +207,11 @@ def posterior_rows(
     Distributed exactly as `root_marginal_batch` of `sample_leaf_rows`.
     Colors are broadcast down to depth - h, h = `_table_height`; each
     vertex there draws its height-h message by inverting its table's CDF
-    with one uniform through the table's guide (`_table_entries`), its
-    log-factors are gathered color-major, and the levels above are folded
-    in floats.  At h = 1 each vertex draws its set of unused colors
+    with one uniform through the table's guide (`_table_entries`).  For
+    each color in turn, the vertices' log-factors are gathered into one
+    buffer and each block of siblings is summed into that color's row of
+    the parents' log-weights, sibling by sibling; the levels above are
+    folded in floats.  At h = 1 each vertex draws its set of unused colors
     instead (`_unused_by_color`); for each color, the log-factors
     log(1 - 1/s) of the vertices whose set of size s holds it are summed
     into their parents' log-weights, one bincount per color, and a vertex
@@ -248,8 +257,17 @@ def posterior_rows(
         return table.messages[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
     # a vertex of color r reads entry e of its table at (r - 1) * E + e
     entry += np.multiply(colors - 1, table.cdf.size, dtype=np.intp)
-    factors = np.take(table.by_color, entry, axis=1)
-    return _fold_factors(factors.reshape(k, n, -1), branching, shape.depth - height)
+    # each color's log-factors, gathered into one reused buffer (every
+    # entry is in range, so "clip" changes none, and it spares the copy
+    # "raise" makes of an out array) and summed sibling by sibling into
+    # that color's row of the parents' log-weights
+    factors = np.empty(entry.size)
+    logw = np.empty((k, entry.size // branching))
+    for log_factors, sums in zip(table.by_color, logw):
+        np.take(log_factors, entry, out=factors, mode="clip")
+        _sibling_sums(factors, branching, out=sums)
+    del entry, factors
+    return _fold_log_weights(logw.reshape(k, n, -1), branching, shape.depth - height - 1)
 
 
 def sample_from_rows(rows: np.ndarray, gen: np.random.Generator) -> np.ndarray:

@@ -252,19 +252,22 @@ def heat_bath_block(
     """Resample the block under v exactly uniformly given the outside.
 
     Copies the coloring, redraws the block with `_resample` from one
-    fresh word and returns a new state, validated once as a
-    `FullColoring`; `state` is unchanged.
+    fresh word and returns a new state; `state` is unchanged.
     """
     state.shape._check_vertex(v)
     return _redraw(state, _plan(state.shape, v, block_depth), rng.generator, state.time)
 
 
 def _redraw(state: DynamicsState, plan: _Plan, gen: np.random.Generator, time: int):
-    """`state` with the block of `plan` redrawn from one fresh word, at `time`."""
+    """`state` with the block of `plan` redrawn from one fresh word, at `time`.
+
+    `_resample` writes only colors in 1..k, so the new coloring is taken
+    without re-validation (`FullColoring._trusted`).
+    """
     values = state.coloring.values.tolist()
     memo = _shape_memo(state.shape.branching, state.k, len(plan.frontier))
     _resample(values, plan, _words(gen), gen, memo)
-    return DynamicsState(state.shape, state.k, FullColoring(state.k, values), time)
+    return DynamicsState(state.shape, state.k, FullColoring._trusted(state.k, values), time)
 
 
 @lru_cache(maxsize=8)  # a memo keeps at most _MEMO_CAP lists

@@ -37,14 +37,15 @@ Two backends for root marginals:
   only at the root.  A child's factor 1 - p_c is summed from its other
   colors, as a prefix plus a suffix sum, so a message within 2^-53 of a
   point mass still leaves the other colors their weight.  Its batched
-  form, `root_marginal_batch`, gathers the first level from the leaves;
-  `_fold_factors`, the fold it ends in, also folds the bottom-level
-  messages that `broadcast_sampler.posterior_rows` draws from exact tables
-  in place of leaves; `_fold_log_weights` runs the same fold from the
-  log-weights one level up, which `posterior_rows` sums from occupancy
-  sets.  The fold is color-major: it holds (k, batch, width) arrays and
-  takes maxima and sums over colors one color at a time, in ascending
-  order, and sums siblings one at a time, in tree order.
+  form, `root_marginal_batch`, gathers the first level from the leaves
+  and folds it with `_fold_factors`, which sums sibling factors into
+  log-weights one level up; `_fold_log_weights` runs the fold from there.
+  `broadcast_sampler.posterior_rows` enters it at the log-weights too,
+  summed from occupancy sets or from messages drawn from exact tables,
+  one color at a time.  The fold is color-major: it holds (k, batch,
+  width) arrays and takes maxima and sums over colors one color at a
+  time, in ascending order, and sums siblings one at a time, in tree
+  order.  It normalizes each level in place, in the arrays it is given.
 
 Brute-force enumeration of whole colorings is the independent route: it
 shares no code with the counting kernel, so tests can cross-check the two.
@@ -273,7 +274,8 @@ def root_marginal(
 
 
 def _normalized(logw: np.ndarray) -> np.ndarray:
-    """Color-major log-weights (k, ...) -> probabilities over the first axis.
+    """Color-major log-weights (k, ...) -> probabilities over the first axis,
+    in place: `logw` is overwritten with the probabilities and returned.
 
     The max is taken and the total summed color by color, in ascending
     order; a vertex whose every color is at -inf is infeasible.
@@ -283,7 +285,8 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
         np.maximum(top, row, out=top)
     if np.isneginf(top).any():
         raise InfeasibleBoundaryError("a leaf coloring admits no proper extension")
-    p = np.exp(logw - top)
+    logw -= top
+    p = np.exp(logw, out=logw)
     total = p[0] + p[1]
     for row in p[2:]:
         total += row
@@ -312,11 +315,11 @@ def _log_complements(p: np.ndarray) -> np.ndarray:
         return np.log(rest, out=rest)
 
 
-def _sibling_sums(logw: np.ndarray, branching: int) -> np.ndarray:
-    """(k, batch, width) -> (k, batch, width / branching): each block of
-    siblings summed into its parent, one sibling at a time."""
-    blocks = logw.reshape(logw.shape[:2] + (-1, branching))
-    total = blocks[..., 0] + blocks[..., 1]
+def _sibling_sums(logw: np.ndarray, branching: int, out=None) -> np.ndarray:
+    """(..., width) -> (..., width / branching): each block of siblings
+    summed into its parent, one sibling at a time, into `out` if given."""
+    blocks = logw.reshape(logw.shape[:-1] + (-1, branching))
+    total = np.add(blocks[..., 0], blocks[..., 1], out=out)
     for j in range(2, branching):
         total += blocks[..., j]
     return total
@@ -367,6 +370,9 @@ def _fold_log_weights(logw: np.ndarray, branching: int, depth: int) -> np.ndarra
     one depth >= 0, given color-major as (k, batch, width): each level's
     messages give the factors of the next level up, summed into their
     parents' log-weights, up to the root.
+
+    Each level is normalized in place (`_normalized`), so `logw` is
+    overwritten: every caller passes an array it owns.
     """
     for _ in range(depth):
         logw = _sibling_sums(_log_complements(_normalized(logw)), branching)

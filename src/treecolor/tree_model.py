@@ -214,6 +214,17 @@ class FullColoring:
             self, "values", _as_color_array(self.values, self.k, allow_star=False)
         )
 
+    @classmethod
+    def _trusted(cls, k: int, values: list) -> FullColoring:
+        """A coloring from colors the caller guarantees lie in 1..k, for a
+        checked k: stored as a read-only int16 vector, with no check."""
+        coloring = object.__new__(cls)
+        arr = np.array(values, dtype=np.int16)
+        arr.flags.writeable = False
+        object.__setattr__(coloring, "k", k)
+        object.__setattr__(coloring, "values", arr)
+        return coloring
+
     def __len__(self) -> int:
         return int(self.values.size)
 

@@ -560,7 +560,8 @@ def test_unused_by_color_contract():
 
 # (branching, k, height) of every table the tests and the benchmark draw from
 DRAWN_TABLES = [(2, 3, 0), (2, 3, 2), (2, 3, 3), (2, 3, 4), (3, 3, 2), (3, 3, 3), (20, 3, 2),
-                (2, 4, 2), (2, 4, 3), (3, 4, 2), (2, 5, 2), (2, 5, 3), (3, 2, 3)]
+                (2, 4, 2), (2, 4, 3), (3, 4, 2), (2, 5, 2), (2, 5, 3), (3, 5, 2),
+                (3, 2, 3)]
 
 
 @pytest.mark.parametrize("branching, k, height", DRAWN_TABLES)
@@ -593,7 +594,9 @@ def test_table_draw_is_the_binary_search(branching, k, height):
 # differently at k >= 4.  The depth-1 rows have no fold: each is 1/s on the s
 # colors the root's block leaves unused.  The k > 64 digests were taken from
 # the sums over a list of (vertex, color) pairs, which the per-color sums
-# reproduce.
+# reproduce.  The table-route digests at k >= 4 and depth >= h + 2 were
+# taken from a gather of the whole (k, vertices) factor array, which the
+# per-color gather into sibling sums reproduces.
 PINNED_POSTERIORS = [
     ((2, 12), 3, 500, 8, None,
      "585e1c17c1da704feffa0bd9ac174480c2a0ca23441c5f651c2d142a2c0c0759"),
@@ -621,6 +624,14 @@ PINNED_POSTERIORS = [
      "fd48d1a6934769057bc53631da57635b60ceac2835666d9cd40d22ea985b203b"),
     ((20, 2), 67, 3, 18, (67, 1, 40),
      "036e2451551585d680916c80241e4aba78e36e630270c6016364c45b23262300"),
+    ((3, 7), 4, 40, 19, None,
+     "63ed1b2867d1b8b641834ec7069fa132a2c2fea9fb155ef8ada162375f16e498"),
+    ((2, 9), 5, 25, 20, (1, 5, 2, 4, 3) * 5,
+     "b029204586fef44d42fc8459f91318faf0fd409ebe71d2e4fe3ef629b92ec321"),
+    ((2, 8), 4, 30, 22, None,
+     "5be938bac0e3167cc39a59dce3e809afdf99889356a0b27167b925d61f301026"),
+    ((3, 6), 5, 12, 23, None,
+     "ae77a7d85176891f4bf31d33735b45987ac05bae5075f5ed5e50b67807b5d061"),
 ]
 
 
@@ -629,6 +640,36 @@ def test_posterior_rows_pinned_draws(tree, k, n, seed, roots, digest):
     roots = None if roots is None else np.array(roots, dtype=np.int16)
     rows = posterior_rows(TreeShape(*tree), k, n, RandomSource(seed), root_colors=roots)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("roots, digest", [
+    (None, "25116cc0f831bd54223306f4b088769ba86696ffe051185f506b62370900eac0"),
+    ((1, 2, 3) * 16 + (1, 2),
+     "2c4d89c4a8ef4a82a1a08623d216f09b4b1a1b7e60ec726b42ce58420362a5cb"),
+])
+def test_sample_leaf_rows_pinned_over_ten_levels(roots, digest):
+    # SHA-256 of the int16 rows: ten `_next_level` draws in a row
+    roots = None if roots is None else np.array(roots, dtype=np.int16)
+    rows = sample_leaf_rows(TreeShape(2, 10), 3, 50, RandomSource(24), root_colors=roots)
+    assert rows.dtype == np.int16 and rows.shape == (50, 1024)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def test_posterior_rows_table_route_peak_memory():
+    # the depth-12 sweep draw of narrow-deep: height-4 tables below depth
+    # 8, then 8 fold levels.  The traced peak read 4.27 MiB with the
+    # factors gathered color by color into sibling sums and each level
+    # normalized in place, and 9.04 MiB with the (k, vertices) factor array
+    # and a fresh array per normalization; the bound leaves a 40% margin
+    shape = TreeShape(2, 12)
+    posterior_rows(shape, 3, 500, RandomSource(2))  # fill the table cache
+    tracemalloc.start()
+    try:
+        posterior_rows(shape, 3, 500, RandomSource(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * 2**20
 
 
 def test_estimate_alpha_pinned():

@@ -277,6 +277,21 @@ def test_step_increments_time_and_preserves_properness():
         assert is_proper(shape, state.coloring)
 
 
+def test_moves_store_checked_colorings():
+    # a move takes `_resample`'s colors unvalidated; they must still be what
+    # a validated FullColoring of the same values stores: read-only int16
+    shape = TreeShape(3, 2)
+    state = initial_state(shape, 4, RandomSource(3))
+    rng = RandomSource(5)
+    for move in (lambda s: step(s, 1, rng), lambda s: heat_bath_block(s, 0, 1, rng)):
+        for _ in range(20):
+            state = move(state)
+            values = state.coloring.values
+            assert values.dtype == np.int16 and not values.flags.writeable
+            assert state.coloring == FullColoring(4, values.tolist())
+            assert is_proper(shape, state.coloring)
+
+
 # ---------------------------------------------------------------------------
 # chains
 

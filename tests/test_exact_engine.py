@@ -35,6 +35,7 @@ from treecolor import (
 )
 from treecolor import exact_engine, tree_model
 from treecolor.broadcast_sampler import (
+    _level_at,
     _table_entries,
     posterior_rows,
 )
@@ -46,6 +47,7 @@ from treecolor.exact_engine import (
     _fold_factors,
     _message_law,
     _message_table,
+    _table_height,
     count_levels,
     p_max,
     root_marginal_batch,
@@ -404,6 +406,27 @@ def test_table_fold_matches_rowmajor_fold(branching, k, height, depth, n):
     colormajor = np.take(table.by_color, (colors - 1) * table.cdf.size + entry, axis=1)
     got = _fold_factors(colormajor.reshape(k, n, -1), branching, depth - height)
     expected = rowmajor_fold(rowmajor.reshape(n, -1, k), branching, depth - height)
+    assert_folds_agree(got, expected, k)
+
+
+@pytest.mark.parametrize("branching, k, depth, n", [
+    (2, 3, 7, 20), (2, 3, 5, 10), (3, 4, 5, 10), (2, 4, 6, 20), (2, 5, 6, 20), (3, 5, 4, 8),
+])
+def test_table_gather_matches_rowmajor_fold(branching, k, depth, n):
+    # the posteriors gathered color by color into sibling sums, against
+    # the row-major fold of the factors of the same stream: a broadcast to
+    # depth - h, then one uniform per vertex inverted through its table's CDF
+    height = _table_height(branching, k, depth)
+    assert 1 < height < depth
+    shape = TreeShape(branching, depth)
+    gen = RandomSource(depth).generator
+    colors = _level_at(k, branching, depth - height, n, gen, None).reshape(-1)
+    table = _message_table(branching, k, height)
+    entry = np.searchsorted(table.cdf, gen.random(colors.size), side="right")
+    log_factors = table.by_color[:, : table.cdf.size].T
+    rowmajor = log_factors[entry[:, np.newaxis], _color_swaps(k)[colors - 1]]
+    expected = rowmajor_fold(rowmajor.reshape(n, -1, k), branching, depth - height)
+    got = posterior_rows(shape, k, n, RandomSource(depth))
     assert_folds_agree(got, expected, k)
 
 
