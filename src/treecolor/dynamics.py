@@ -35,7 +35,7 @@ On instances small enough to enumerate, the states are the rows of one
 int16 array (`_state_array`), labelled per block root by their colors
 outside the block (`_outside_groups`).  A move maps f to its group average
 M_r f (`_average`), so its conditional entropy is Ent(f) - Ent(M_r f), and
-the exact transition matrix is built from the same groups in integers.
+the exact transition matrix is built from the same groups as integer arrays.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
@@ -67,8 +67,8 @@ STATE_GUARD = 10**4
 _MIXING_STATE_GUARD = 400
 _MIXING_STEP_GUARD = 10_000
 _POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives up
-# row entries build_transition_matrix may write: (2,1,12,1) measured about
-# 100 bytes per entry, so about 0.5 GB at the guard
+# row entries build_transition_matrix may write: (2,1,12,1) peaked at about
+# 110 bytes per entry, so about 0.55 GB at the guard
 _MATRIX_ENTRY_GUARD = 5 * 10**6
 _MEMO_CAP = 1 << 15  # lists one block shape's memo keeps for the life of the process (see _Memo)
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
@@ -496,7 +496,8 @@ class TransitionMatrix:
     Entry (i, j) is rows[i][j] / denominator: each row maps a column to a
     positive integer numerator and omits the zero entries, and the
     denominator is the least common one, the lcm of the reduced entries'
-    denominators.
+    denominators.  Every diagnostic reads `_entries`, the one array view
+    of `rows`, whether the matrix was built or written by hand.
 
     `build_transition_matrix` also records, outside the fields, one start
     per orbit of the states under `_symmetries`, which commute with the
@@ -517,6 +518,8 @@ class TransitionMatrix:
         return len(self.states)
 
     def entry(self, i: int, j: int) -> Fraction:
+        if not all(isinstance(x, (int, np.integer)) and 0 <= x < self.size for x in (i, j)):
+            raise ValidationError(f"entry ({i}, {j}) is outside the {self.size}-state matrix")
         return Fraction(self.rows[i].get(j, 0), self.denominator)
 
     def to_dense(self) -> np.ndarray:
@@ -526,13 +529,27 @@ class TransitionMatrix:
         return self._dense
 
     @cached_property
+    def _entries(self) -> tuple:
+        """`rows` as read-only (row, column, numerator) arrays in row and
+        column order; the numerators are int64 while their total fits, so
+        every sum of them is exact, and Python ints past it."""
+        values = list(chain.from_iterable(map(dict.values, self.rows)))
+        rows = np.repeat(np.arange(self.size), [len(row) for row in self.rows])
+        columns = np.fromiter(chain.from_iterable(self.rows), np.int64, len(values))
+        numerators = np.array(values, dtype=np.int64 if sum(values) < 2**63 else object)
+        order = np.lexsort((columns, rows))
+        entries = rows[order], columns[order], numerators[order]
+        for array in entries:
+            array.setflags(write=False)
+        return entries
+
+    @cached_property
     def _dense(self) -> np.ndarray:
+        rows, columns, numerators = self._entries
+        distinct, inverse = np.unique(numerators, return_inverse=True)
         dense = np.zeros((self.size, self.size))
-        d = self.denominator
-        lengths = [len(row) for row in self.rows]
-        columns = list(chain.from_iterable(self.rows))
-        values = [num / d for num in chain.from_iterable(map(dict.values, self.rows))]
-        dense[np.repeat(np.arange(self.size), lengths), columns] = values
+        values = np.array([num / self.denominator for num in distinct.tolist()])
+        dense[rows, columns] = values[inverse]
         dense.setflags(write=False)
         return dense
 
@@ -549,89 +566,93 @@ def build_transition_matrix(
     `_outside_groups`.  So a block root r that m_r of the N vertices
     select adds m_r / (N |G|) to every entry of G x G, for each of its
     groups G: m_r * (L // |G|) over N * L, with L the lcm of the group
-    sizes.  The numerators and N * L are then divided by their common
-    gcd, which leaves the least common denominator.  Roots are taken in
-    increasing order and each group's states (a stable argsort of the
-    labels) in enumeration order, so every row lists its columns in the
-    order a per-state scan of the block's completions would.  The entries
-    written, the sum of |G|^2, must not exceed `_MATRIX_ENTRY_GUARD`.
+    sizes: one array of (row, column) pairs per root, summed by one
+    `np.unique`, then divided with N * L by their common gcd to leave the
+    least common denominator.  Each row lists its columns in the order they
+    first occur, roots increasing and groups in a stable argsort of the
+    labels, as a per-state scan of the blocks' completions would.  The
+    pairs written, the sum of |G|^2, must not exceed `_MATRIX_ENTRY_GUARD`.
     """
     labels, root_of = _outside_groups(shape, k, block_depth)
     sizes = {root: np.bincount(label) for root, label in labels.items()}
     entries = sum(int(size @ size) for size in sizes.values())
     if entries > _MATRIX_ENTRY_GUARD:
-        raise CapacityError(
-            f"the transition matrix needs {entries} row entries, over the "
-            f"{_MATRIX_ENTRY_GUARD} guard"
-        )
+        raise CapacityError(f"{entries} row entries exceed the {_MATRIX_ENTRY_GUARD} entry guard")
     lcm = math.lcm(*{int(n) for size in sizes.values() for n in size})
-    rows = [dict() for _ in range(state_space_size(shape, k))]
+    n, denominator = state_space_size(shape, k), shape.vertex_count * lcm
+    dtype = np.int64 if denominator < 2**63 else object  # a row's numerators sum to N * L
+    pairs, weights = [], []
     for root in sorted(labels):
-        count = root_of.count(root)
-        order = np.argsort(labels[root], kind="stable").tolist()
-        ends = np.cumsum(sizes[root]).tolist()
-        for members in (order[start:end] for start, end in zip([0, *ends], ends)):
-            weight = count * (lcm // len(members))
-            for i in members:
-                row = rows[i]
-                for j in members:
-                    row[j] = row[j] + weight if j in row else weight
-    denominator = shape.vertex_count * lcm
-    common = math.gcd(denominator, *(num for row in rows for num in row.values()))
-    if common > 1:
-        rows = [{j: num // common for j, num in row.items()} for row in rows]
-        denominator //= common
-    matrix = TransitionMatrix(
-        shape=shape,
-        k=k,
-        block_depth=block_depth,
-        states=tuple(enumerate_states(shape, k)),
-        rows=tuple(rows),
-        denominator=denominator,
-    )
+        order = np.argsort(labels[root], kind="stable")
+        group = labels[root][order]
+        # the state at position q pairs with all of its group, order[end - |G| : end]
+        reps, end = sizes[root][group], np.cumsum(sizes[root])[group]
+        at = np.arange(reps.sum()) + np.repeat(end - np.cumsum(reps), reps)
+        pairs.append(np.repeat(order, reps) * n + order[at])
+        weights.append(np.repeat(root_of.count(root) * (lcm // reps.astype(dtype)), reps))
+    keys, first, inverse = np.unique(np.concatenate(pairs), return_index=True, return_inverse=True)
+    numerators = np.zeros(keys.size, dtype)
+    np.add.at(numerators, inverse, np.concatenate(weights))
+    by_row = np.argsort(keys // n * inverse.size + first)  # then by first occurrence
+    distinct, which = np.unique(numerators[by_row], return_inverse=True)
+    common = math.gcd(denominator, *distinct.tolist())
+    ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
+    # one int object per column and per distinct numerator, shared by the
+    # dicts as in dicts filled entry by entry, and no array left while they fill
+    columns = np.arange(n).astype(object)[keys[by_row] % n].tolist()
+    numerators = (distinct // common).astype(object)[which].tolist()
+    del pairs, weights, keys, first, inverse, by_row, which
+    rows = tuple(dict(zip(columns[a:b], numerators[a:b])) for a, b in zip([0, *ends], ends))
+    states = tuple(enumerate_states(shape, k))
+    matrix = TransitionMatrix(shape, k, block_depth, states, rows, denominator // common)
     # an orbit's smallest index labels it, so the distinct labels are the starts
     object.__setattr__(matrix, "_starts", np.unique(_orbits(shape, k)))
     return matrix
 
 
 def stationary_and_gap(matrix: TransitionMatrix) -> dict:
-    """Exact uniform-stationarity check plus a numerical spectral gap."""
-    size = matrix.size
-    col_sums = [0] * size
-    for row in matrix.rows:
-        for j, num in row.items():
-            col_sums[j] += num
-    is_uniform = all(s == matrix.denominator for s in col_sums)
+    """Exact checks that P is symmetric (its entries equal those of its
+    transpose) and fixes the uniform law (every column sums to the
+    denominator), plus a numerical spectral gap."""
+    rows, columns, numerators = matrix._entries
+    transpose = np.lexsort((rows, columns))  # the transpose's entries, in row and column order
+    pairs = (rows, columns), (columns, rows), (numerators, numerators)
+    sums = np.zeros(matrix.size, numerators.dtype)
+    np.add.at(sums, columns, numerators)
     dense = matrix.to_dense()
-    if size <= 4000:
-        eigs = np.linalg.eigvalsh(dense)
-        lambda2 = float(eigs[-2]) if size > 1 else 0.0
-    else:
+    if matrix.size > 4000:
         lambda2 = _second_eigenvalue_power(dense)
-    return {"is_uniform_stationary": is_uniform, "spectral_gap": 1.0 - lambda2}
+    else:
+        lambda2 = float(np.linalg.eigvalsh(dense)[-2]) if matrix.size > 1 else 0.0
+    return {
+        "is_symmetric": all(np.array_equal(a, b[transpose]) for a, b in pairs),
+        "is_uniform_stationary": bool((sums == matrix.denominator).all()),
+        "spectral_gap": 1.0 - lambda2,
+    }
 
 
 def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
-    """Deflated power iteration on (I+P)/2; monotone in the signed eigenvalue.
+    """Deflated power iteration on P itself, for lambda_2.
 
-    Stops once the residual |y - mu x| of the unit iterate x, with
-    y = ((I+P)/2)x and mu = x.y, is at most `tol`: then mu lies within tol
-    of an eigenvalue, and for the symmetric kernel within about
-    tol**2 / gap of it.  One matrix-vector product per step; a run that
-    has not met `tol` after `_POWER_STEPS` steps raises CapacityError.
+    Each M_r is an orthogonal projection under the uniform law, so
+    P = sum over r of (m_r / N) M_r is positive semidefinite and lambda_2
+    tops its spectrum off the constants.  Stops once the residual
+    |y - mu x| of the unit iterate x, with y = Px and mu = x.y, is at most
+    `tol`: then mu lies within tol of an eigenvalue, and for the symmetric
+    kernel within about tol**2 / gap of it.  One matrix-vector product per
+    step; a run that has not met `tol` after `_POWER_STEPS` steps raises
+    CapacityError.
     """
-    size = dense.shape[0]
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(size)
+    x = np.random.default_rng(0).standard_normal(dense.shape[0])
     x -= x.mean()
     x /= np.linalg.norm(x)
     for _ in range(_POWER_STEPS):
-        y = 0.5 * (x + dense @ x)
+        y = dense @ x
         y -= y.mean()
         mu = float(x @ y)
         residual = float(np.linalg.norm(y - mu * x))
         if residual <= tol:
-            return 2.0 * mu - 1.0
+            return mu
         x = y / np.linalg.norm(y)
     raise CapacityError(
         f"power iteration left residual {residual:.3g} > {tol:g} after {_POWER_STEPS} steps"
@@ -639,20 +660,14 @@ def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
 
 
 def is_ergodic(matrix: TransitionMatrix) -> bool:
-    """Reachability over nonzero transitions (symmetric, so plain BFS)."""
-    size = matrix.size
-    seen = [False] * size
-    stack = [0]
-    seen[0] = True
-    found = 1
-    while stack:
-        i = stack.pop()
-        for j in matrix.rows[i]:
-            if not seen[j]:
-                seen[j] = True
-                found += 1
-                stack.append(j)
-    return found == size
+    """Whether every state is reachable from state 0 over nonzero transitions
+    (irreducibility, for the symmetric kernel), one frontier per pass."""
+    rows, columns, _ = matrix._entries
+    reached = frontier = np.arange(matrix.size) == 0
+    while frontier.any():
+        frontier = (np.bincount(columns[frontier[rows]], minlength=matrix.size) > 0) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
 
 
 def _check_mixing_size(size: int) -> None:
@@ -707,9 +722,8 @@ def mixing_time_exact(matrix: TransitionMatrix) -> int:
     # so every step above holds row by row, for the start rows alone.  A
     # symmetry g commutes with P and fixes the uniform law, so the true TV
     # of row gx equals that of row x: the worst start row is the worst row.
-    kernel = power = matrix.to_dense()
-    if matrix._starts is not None:
-        power = kernel[matrix._starts]
+    kernel = matrix.to_dense()
+    power = kernel if matrix._starts is None else kernel[matrix._starts]
     uniform = 1.0 / matrix.size
     threshold = 1.0 / (2.0 * math.e)
     for t in range(1, _MIXING_STEP_GUARD + 1):
@@ -731,25 +745,22 @@ def _mixing_time_integer(matrix: TransitionMatrix) -> int:
     orbit starts' rows are propagated, when the matrix has starts.
     """
     size = matrix.size
-    denom = matrix.denominator
-    base = [[row.get(j, 0) for j in range(size)] for row in matrix.rows]
-    base_cols = list(zip(*base))
-    e_lo, term = Fraction(0), Fraction(1)
-    for i in range(1, 52):
-        e_lo += term
-        term /= i
-    e_hi = e_lo + 2 * term
-    power = base if matrix._starts is None else [base[i] for i in matrix._starts.tolist()]
-    scale = denom
+    rows, columns, numerators = matrix._entries
+    base = np.zeros((size, size), dtype=object)
+    base[rows, columns] = numerators  # int64 numerators land as Python ints
+    e_lo = sum(Fraction(1, math.factorial(i)) for i in range(51))
+    e_hi = e_lo + Fraction(2, math.factorial(51))
+    power = base if matrix._starts is None else base[matrix._starts]
+    scale = matrix.denominator
     for t in range(1, _MIXING_STEP_GUARD + 1):
-        worst = max(sum(abs(size * m - scale) for m in row) for row in power)
+        worst = np.abs(size * power - scale).sum(axis=1).max()
         # TV <= 1/(2e)  <=>  worst * e <= size * scale
         if worst * e_hi <= size * scale:
             return t
         if worst * e_lo <= size * scale:  # pragma: no cover - e known to 1e-60
             raise CapacityError("mixing threshold undecidable at current e precision")
-        power = [[sum(x * y for x, y in zip(row, col)) for col in base_cols] for row in power]
-        scale *= denom
+        power = power @ base
+        scale *= matrix.denominator
     raise CapacityError(f"mixing time exceeds {_MIXING_STEP_GUARD} steps")
 
 

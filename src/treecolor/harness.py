@@ -348,21 +348,13 @@ def _run_dynamics(config: ExperimentConfig):
         dynamics.check_exact_capacity(shape, k)
         matrix = dynamics.build_transition_matrix(shape, k, block_depth)
         info = dynamics.stationary_and_gap(matrix)
-        symmetric = all(
-            matrix.rows[j].get(i) == num
-            for i, row in enumerate(matrix.rows)
-            for j, num in row.items()
-        )
-        try:
-            t_mix = dynamics.mixing_time_exact(matrix)
-            ergodic = True
-        except dynamics.NonErgodicChainError:
-            t_mix, ergodic = None, False
+        ergodic = dynamics.is_ergodic(matrix)
+        t_mix = dynamics.mixing_time_exact(matrix) if ergodic else None
         result = {
             "states": matrix.size,
             "gap": info["spectral_gap"],
             "t_mix": t_mix,
-            "symmetric": symmetric,
+            "symmetric": info["is_symmetric"],
             "uniform_stationary": info["is_uniform_stationary"],
             "ergodic": ergodic,
         }
@@ -382,20 +374,16 @@ def _run_dynamics(config: ExperimentConfig):
 
 
 def _write_matrix_csv(matrix, path: str) -> None:
-    """One line per nonzero entry, as a reduced fraction, columns sorted.
-
-    Each distinct numerator is reduced once, and the text is written in
-    one call.
-    """
+    """One line per nonzero entry, as a reduced fraction, in row and then
+    column order; each distinct numerator is reduced once, and the text is
+    written in one call."""
+    rows, columns, numerators = matrix._entries
     d = matrix.denominator
-    fractions = {}
-    for row in matrix.rows:
-        for num in row.values():
-            if num not in fractions:
-                g = math.gcd(num, d)
-                fractions[num] = f"{num // g},{d // g}\n"
+    distinct, inverse = np.unique(numerators, return_inverse=True)
+    fractions = [f"{num // g},{d // g}\n" for num in distinct.tolist() for g in [math.gcd(num, d)]]
+    lines = zip(rows.tolist(), columns.tolist(), inverse.tolist())
     text = "row_state,col_state,numerator,denominator\n" + "".join(
-        f"{i},{j},{fractions[row[j]]}" for i, row in enumerate(matrix.rows) for j in sorted(row)
+        f"{i},{j},{fractions[u]}" for i, j, u in lines
     )
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -958,6 +958,96 @@ def test_to_dense_places_the_entries_of_an_asymmetric_matrix():
     assert_dense_is_rounded_fractions(make_matrix([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}], 3))
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1.0, 0)])
+def test_entry_rejects_an_index_outside_the_matrix(i, j):
+    matrix = make_matrix([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}], 3)
+    with pytest.raises(ValidationError, match="outside"):
+        matrix.entry(i, j)
+    assert matrix.entry(np.int64(2), 1) == Fraction(1, 3)
+    assert matrix.entry(1, 2) == 0
+
+
+def test_symmetry_reads_the_entries_against_their_transpose():
+    # a built kernel is symmetric; a hand-built one may differ from its
+    # transpose in where its entries lie or only in their values
+    assert stationary_and_gap(build_transition_matrix(TreeShape(2, 1), 3, 0))["is_symmetric"]
+    for rows, symmetric, uniform in [
+        ([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}], False, False),  # placed asymmetrically
+        ([{0: 1, 1: 2}, {0: 2, 1: 1}, {2: 3}], True, True),
+        ([{0: 1, 1: 2}, {0: 1, 1: 2}, {2: 3}], False, False),  # same places, other values
+    ]:
+        info = stationary_and_gap(make_matrix(rows, 3))
+        assert info["is_symmetric"] is symmetric
+        assert info["is_uniform_stationary"] is uniform
+
+
+def path_matrix(size: int, cut: int | None = None) -> TransitionMatrix:
+    """The walk on a path of `size` states that steps to each neighbour with
+    probability 1/2 and otherwise holds, with the edge from `cut` to `cut` + 1
+    removed if given."""
+    rows = []
+    for i in range(size):
+        row = {j: 1 for j in (i - 1, i + 1) if 0 <= j < size and min(i, j) != cut}
+        rows.append(row | {i: 2 - len(row)} if len(row) < 2 else row)
+    return make_matrix(rows, 2)
+
+
+def bfs_reaches_all(matrix: TransitionMatrix) -> bool:
+    """Oracle: a depth-first search from state 0 over the rows' columns."""
+    seen, stack = {0}, [0]
+    while stack:
+        for j in matrix.rows[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == matrix.size
+
+
+def test_ergodicity_follows_a_path_to_its_far_end():
+    # state 9 is reached in the 9th frontier pass, and only if no edge is cut
+    assert is_ergodic(path_matrix(10))
+    assert mixing_time_exact(path_matrix(10)) > 1
+    for cut in range(9):
+        assert not is_ergodic(path_matrix(10, cut))
+
+
+def test_ergodicity_of_a_directed_matrix_follows_the_rows_from_state_0():
+    assert is_ergodic(make_matrix([{1: 1}, {1: 1}], 1))  # 0 reaches 1, 1 never returns
+    assert not is_ergodic(make_matrix([{0: 1}, {0: 1}], 1))  # only 1 reaches 0
+    assert is_ergodic(make_matrix([{1: 1}, {2: 1}, {0: 1}], 1))  # a directed cycle
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ergodicity_of_a_directed_matrix_is_reachability_from_state_0(seed):
+    # hand-built matrices need not be symmetric: what counts is whether
+    # state 0 reaches every state, as a search along the rows finds
+    gen = np.random.default_rng(seed)
+    size = int(gen.integers(2, 9))
+    rows = []
+    for _ in range(size):
+        columns = gen.choice(size, size=int(gen.integers(1, 3)), replace=False).tolist()
+        rows.append({j: 2 // len(columns) for j in columns})
+    matrix = make_matrix(rows, 2)
+    assert is_ergodic(matrix) is bfs_reaches_all(matrix)
+
+
+def test_numerators_past_int64_stay_exact_on_every_reader():
+    # the two-state chain that flips with probability 1/10, over a
+    # denominator of 10 * 2**63: every numerator is at least 2**63
+    big = 2**63
+    matrix = make_matrix([{0: 9 * big, 1: big}, {0: big, 1: 9 * big}], 10 * big)
+    rows, columns, numerators = matrix._entries
+    assert numerators.dtype == object and numerators.tolist() == [9 * big, big, big, 9 * big]
+    assert rows.tolist() == [0, 0, 1, 1] and columns.tolist() == [0, 1, 0, 1]
+    assert_dense_is_rounded_fractions(matrix)
+    info = stationary_and_gap(matrix)
+    assert info["is_symmetric"] and info["is_uniform_stationary"]
+    assert info["spectral_gap"] == pytest.approx(0.2, abs=1e-12)
+    # TV(t) = 0.8**t / 2 first falls below 1/(2e) at t = 5
+    assert dynamics._mixing_time_integer(matrix) == 5 == mixing_time_exact(matrix)
+    assert mixing_time_exact(two_state_matrix(Fraction(1, 10))) == 5
+
+
 def assert_dense_is_rounded_fractions(matrix):
     dense = matrix.to_dense()
     assert dense.dtype == np.float64

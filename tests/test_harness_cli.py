@@ -941,6 +941,20 @@ def test_module_entry_point_runs():
     assert len(proc.stdout.splitlines()) == 2
 
 
+def test_cli_import_loads_no_test_only_package():
+    # scipy, hypothesis and pytest are test extras: every CLI start, and the
+    # benchmark's setup time, would pay for importing one of them
+    script = (
+        "import sys, treecolor.cli\n"
+        "print(*sorted({'scipy', 'hypothesis', 'pytest'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cli_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["couple", "--delta", "2", "--k", "3", "--dep", "4", "--c1", "1", "--c2", "2",
       "--mode", "down", "--samples", "10"], "--dep"),
