@@ -35,7 +35,8 @@ On instances small enough to enumerate, the states are the rows of one
 int16 array (`_state_array`), labelled per block root by their colors
 outside the block (`_outside_groups`).  A move maps f to its group average
 M_r f (`_average`), so its conditional entropy is Ent(f) - Ent(M_r f), and
-the exact transition matrix is built from the same groups as integer arrays.
+the exact transition matrix is built from the same groups as the one form it
+stores, its entries as integer arrays sorted by row and then column.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
@@ -51,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -493,11 +493,17 @@ def _orbits(shape: TreeShape, k: int) -> np.ndarray:
 class TransitionMatrix:
     """Exact block-dynamics kernel on an enumerated tiny instance.
 
-    Entry (i, j) is rows[i][j] / denominator: each row maps a column to a
-    positive integer numerator and omits the zero entries, and the
-    denominator is the least common one, the lcm of the reduced entries'
-    denominators.  Every diagnostic reads `_entries`, the one array view
-    of `rows`, whether the matrix was built or written by hand.
+    `entries` holds the nonzero entries as three read-only arrays (row,
+    column, numerator), sorted by row and then column: entry (i, j) is its
+    positive integer numerator over `denominator`, the least common one
+    for a built matrix.  The numerators are int64 while their total fits,
+    so every sum of them is exact, and Python ints in an object array past
+    it.  The constructor checks the fields, whether the matrix was built
+    or written by hand: at least one state, integer rows and columns in
+    range, (row, column) pairs strictly ascending, positive numerators and
+    every row summing to the positive int denominator.  It takes the
+    arrays over, in those dtypes, and marks them read-only.  `rows` is the
+    same matrix as {column: numerator} dicts.
 
     `build_transition_matrix` also records, outside the fields, one start
     per orbit of the states under `_symmetries`, which commute with the
@@ -509,13 +515,58 @@ class TransitionMatrix:
     k: int
     block_depth: int
     states: tuple
-    rows: tuple = field(repr=False)  # tuple of {column: int numerator}
+    entries: tuple = field(repr=False)  # (row, column, numerator) arrays
     denominator: int
     _starts = None  # not a field: the orbit starts' indices, ascending, or None
+
+    def __post_init__(self):
+        size, d = self.size, self.denominator
+        if size == 0:
+            raise ValidationError("a transition matrix needs at least one state")
+        if type(d) is not int or d < 1:
+            raise ValidationError(f"denominator must be a positive int, got {d!r}")
+        if len(self.entries) != 3:
+            raise ValidationError("entries must be (row, column, numerator) arrays")
+        rows, columns, numerators = map(np.asarray, self.entries)
+        if not all(a.ndim == 1 and a.size == rows.size for a in (rows, columns, numerators)):
+            raise ValidationError("entries must be three 1-D arrays of one length")
+        if rows.dtype.kind not in "iu" or columns.dtype.kind not in "iu":
+            raise ValidationError("entry rows and columns must be integers")
+        rows, columns = rows.astype(np.int64, copy=False), columns.astype(np.int64, copy=False)
+        if rows.size and (min(rows.min(), columns.min()) < 0 or max(rows.max(), columns.max()) >= size):
+            raise ValidationError(f"entry rows and columns must lie in 0..{size - 1}")
+        if (np.diff(rows * size + columns) <= 0).any():
+            raise ValidationError("entries must strictly ascend by row, then column")
+        if numerators.dtype.kind not in "iuO" or numerators.dtype == object and not all(
+            type(num) is int for num in numerators.tolist()
+        ):
+            raise ValidationError("entry numerators must be integers")
+        if not (numerators > 0).all():
+            raise ValidationError("entry numerators must be positive")
+        # a row sums to d, so the total is size * d; no numerator exceeds d,
+        # so no row sum of at most size of them overflows the int64 dtype
+        dtype = np.int64 if size * d < 2**63 else object
+        counts = np.bincount(rows, minlength=size)
+        if (numerators > d).any() or not counts.all():
+            raise ValidationError("every row must sum to the denominator")
+        numerators = numerators.astype(dtype, copy=False)
+        if not (np.add.reduceat(numerators, np.cumsum(counts) - counts) == d).all():
+            raise ValidationError("every row must sum to the denominator")
+        for array in (rows, columns, numerators):
+            array.setflags(write=False)
+        object.__setattr__(self, "entries", (rows, columns, numerators))
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Row i as {column: numerator}, columns ascending, Python ints
+        throughout; built from `entries` on first use."""
+        ends = np.cumsum(np.bincount(self.entries[0], minlength=self.size)).tolist()
+        columns, numerators = self.entries[1].tolist(), self.entries[2].tolist()
+        return tuple(dict(zip(columns[a:b], numerators[a:b])) for a, b in zip([0, *ends], ends))
 
     def entry(self, i: int, j: int) -> Fraction:
         if not all(isinstance(x, (int, np.integer)) and 0 <= x < self.size for x in (i, j)):
@@ -529,23 +580,8 @@ class TransitionMatrix:
         return self._dense
 
     @cached_property
-    def _entries(self) -> tuple:
-        """`rows` as read-only (row, column, numerator) arrays in row and
-        column order; the numerators are int64 while their total fits, so
-        every sum of them is exact, and Python ints past it."""
-        values = list(chain.from_iterable(map(dict.values, self.rows)))
-        rows = np.repeat(np.arange(self.size), [len(row) for row in self.rows])
-        columns = np.fromiter(chain.from_iterable(self.rows), np.int64, len(values))
-        numerators = np.array(values, dtype=np.int64 if sum(values) < 2**63 else object)
-        order = np.lexsort((columns, rows))
-        entries = rows[order], columns[order], numerators[order]
-        for array in entries:
-            array.setflags(write=False)
-        return entries
-
-    @cached_property
     def _dense(self) -> np.ndarray:
-        rows, columns, numerators = self._entries
+        rows, columns, numerators = self.entries
         distinct, inverse = np.unique(numerators, return_inverse=True)
         dense = np.zeros((self.size, self.size))
         values = np.array([num / self.denominator for num in distinct.tolist()])
@@ -566,18 +602,17 @@ def build_transition_matrix(
     `_outside_groups`.  So a block root r that m_r of the N vertices
     select adds m_r / (N |G|) to every entry of G x G, for each of its
     groups G: m_r * (L // |G|) over N * L, with L the lcm of the group
-    sizes: one array of (row, column) pairs per root, summed by one
-    `np.unique`, then divided with N * L by their common gcd to leave the
-    least common denominator.  Each row lists its columns in the order they
-    first occur, roots increasing and groups in a stable argsort of the
-    labels, as a per-state scan of the blocks' completions would.  The
-    pairs written, the sum of |G|^2, must not exceed `_MATRIX_ENTRY_GUARD`.
+    sizes: one array of (row, column) keys per root, summed by one
+    `np.unique`, whose sorted keys are the entries in row and then column
+    order, then divided with N * L by their common gcd to leave the least
+    common denominator.  The pairs written, the sum of |G|^2, must not
+    exceed `_MATRIX_ENTRY_GUARD`.
     """
     labels, root_of = _outside_groups(shape, k, block_depth)
     sizes = {root: np.bincount(label) for root, label in labels.items()}
-    entries = sum(int(size @ size) for size in sizes.values())
-    if entries > _MATRIX_ENTRY_GUARD:
-        raise CapacityError(f"{entries} row entries exceed the {_MATRIX_ENTRY_GUARD} entry guard")
+    written = sum(int(size @ size) for size in sizes.values())
+    if written > _MATRIX_ENTRY_GUARD:
+        raise CapacityError(f"{written} row entries exceed the {_MATRIX_ENTRY_GUARD} entry guard")
     lcm = math.lcm(*{int(n) for size in sizes.values() for n in size})
     n, denominator = state_space_size(shape, k), shape.vertex_count * lcm
     dtype = np.int64 if denominator < 2**63 else object  # a row's numerators sum to N * L
@@ -590,21 +625,14 @@ def build_transition_matrix(
         at = np.arange(reps.sum()) + np.repeat(end - np.cumsum(reps), reps)
         pairs.append(np.repeat(order, reps) * n + order[at])
         weights.append(np.repeat(root_of.count(root) * (lcm // reps.astype(dtype)), reps))
-    keys, first, inverse = np.unique(np.concatenate(pairs), return_index=True, return_inverse=True)
+    keys, inverse = np.unique(np.concatenate(pairs), return_inverse=True)
+    del pairs  # freed before the sums, which lowers the build's peak memory
     numerators = np.zeros(keys.size, dtype)
     np.add.at(numerators, inverse, np.concatenate(weights))
-    by_row = np.argsort(keys // n * inverse.size + first)  # then by first occurrence
-    distinct, which = np.unique(numerators[by_row], return_inverse=True)
-    common = math.gcd(denominator, *distinct.tolist())
-    ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
-    # one int object per column and per distinct numerator, shared by the
-    # dicts as in dicts filled entry by entry, and no array left while they fill
-    columns = np.arange(n).astype(object)[keys[by_row] % n].tolist()
-    numerators = (distinct // common).astype(object)[which].tolist()
-    del pairs, weights, keys, first, inverse, by_row, which
-    rows = tuple(dict(zip(columns[a:b], numerators[a:b])) for a, b in zip([0, *ends], ends))
+    common = math.gcd(denominator, *np.unique(numerators).tolist())
+    entries = keys // n, keys % n, numerators // common
     states = tuple(enumerate_states(shape, k))
-    matrix = TransitionMatrix(shape, k, block_depth, states, rows, denominator // common)
+    matrix = TransitionMatrix(shape, k, block_depth, states, entries, denominator // common)
     # an orbit's smallest index labels it, so the distinct labels are the starts
     object.__setattr__(matrix, "_starts", np.unique(_orbits(shape, k)))
     return matrix
@@ -614,7 +642,7 @@ def stationary_and_gap(matrix: TransitionMatrix) -> dict:
     """Exact checks that P is symmetric (its entries equal those of its
     transpose) and fixes the uniform law (every column sums to the
     denominator), plus a numerical spectral gap."""
-    rows, columns, numerators = matrix._entries
+    rows, columns, numerators = matrix.entries
     transpose = np.lexsort((rows, columns))  # the transpose's entries, in row and column order
     pairs = (rows, columns), (columns, rows), (numerators, numerators)
     sums = np.zeros(matrix.size, numerators.dtype)
@@ -662,7 +690,7 @@ def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
 def is_ergodic(matrix: TransitionMatrix) -> bool:
     """Whether every state is reachable from state 0 over nonzero transitions
     (irreducibility, for the symmetric kernel), one frontier per pass."""
-    rows, columns, _ = matrix._entries
+    rows, columns, _ = matrix.entries
     reached = frontier = np.arange(matrix.size) == 0
     while frontier.any():
         frontier = (np.bincount(columns[frontier[rows]], minlength=matrix.size) > 0) & ~reached
@@ -745,7 +773,7 @@ def _mixing_time_integer(matrix: TransitionMatrix) -> int:
     orbit starts' rows are propagated, when the matrix has starts.
     """
     size = matrix.size
-    rows, columns, numerators = matrix._entries
+    rows, columns, numerators = matrix.entries
     base = np.zeros((size, size), dtype=object)
     base[rows, columns] = numerators  # int64 numerators land as Python ints
     e_lo = sum(Fraction(1, math.factorial(i)) for i in range(51))
@@ -840,8 +868,7 @@ def entropy_ratio_report(
 ) -> dict:
     """Worst observed ratio of summed local entropies to global entropy over
     random log-normal test functions.  Diagnostic only."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _check_integer("trials", trials, 1)
     size = state_space_size(shape, k)
     _check_state_guard(size)
     gen = rng.generator

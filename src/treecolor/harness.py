@@ -377,7 +377,7 @@ def _write_matrix_csv(matrix, path: str) -> None:
     """One line per nonzero entry, as a reduced fraction, in row and then
     column order; each distinct numerator is reduced once, and the text is
     written in one call."""
-    rows, columns, numerators = matrix._entries
+    rows, columns, numerators = matrix.entries
     d = matrix.denominator
     distinct, inverse = np.unique(numerators, return_inverse=True)
     fractions = [f"{num // g},{d // g}\n" for num in distinct.tolist() for g in [math.gcd(num, d)]]

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -765,16 +766,16 @@ def oracle_transition_rows(shape: TreeShape, k: int, block_depth: int) -> list[d
 
 @pytest.mark.parametrize("branching, depth, k, block_depth", GROUPED_INSTANCES)
 def test_matrix_from_groups_matches_completion_search(branching, depth, k, block_depth):
-    # same Fractions, and each row lists its columns in the same order, so
-    # every consumer that walks the rows (the CSV dump included) is unchanged;
-    # the numerators are ints over the least common denominator
+    # same Fractions, each row listing its columns in ascending order; the
+    # numerators are ints over the least common denominator
     shape = TreeShape(branching, depth)
     matrix = build_transition_matrix(shape, k, block_depth)
     expected = oracle_transition_rows(shape, k, block_depth)
     assert matrix.states == tuple(enumerate_states(shape, k))
     assert len(matrix.rows) == len(expected)
     for i, (got, want) in enumerate(zip(matrix.rows, expected)):
-        assert [(j, matrix.entry(i, j)) for j in got] == list(want.items())
+        assert list(got) == sorted(want)
+        assert all(matrix.entry(i, j) == val for j, val in want.items())
         assert all(type(j) is int and type(val) is int for j, val in got.items())
     assert type(matrix.denominator) is int
     assert matrix.denominator == math.lcm(
@@ -864,9 +865,12 @@ def test_mixing_time_meets_threshold_definition():
 
 
 def make_matrix(rows, denominator, shape=TreeShape(2, 0), k=2, block_depth=0):
-    """A matrix from integer rows {column: numerator} over `denominator`."""
+    """A matrix from integer rows {column: numerator} over `denominator`,
+    as its entries sorted by row and then column."""
     states = tuple((i,) for i in range(len(rows)))
-    return TransitionMatrix(shape, k, block_depth, states, tuple(rows), denominator)
+    triples = sorted((i, j, num) for i, row in enumerate(rows) for j, num in row.items())
+    entries = tuple(np.array(array) for array in zip(*triples))
+    return TransitionMatrix(shape, k, block_depth, states, entries, denominator)
 
 
 def two_state_matrix(p: Fraction) -> TransitionMatrix:
@@ -1036,7 +1040,7 @@ def test_numerators_past_int64_stay_exact_on_every_reader():
     # denominator of 10 * 2**63: every numerator is at least 2**63
     big = 2**63
     matrix = make_matrix([{0: 9 * big, 1: big}, {0: big, 1: 9 * big}], 10 * big)
-    rows, columns, numerators = matrix._entries
+    rows, columns, numerators = matrix.entries
     assert numerators.dtype == object and numerators.tolist() == [9 * big, big, big, 9 * big]
     assert rows.tolist() == [0, 0, 1, 1] and columns.tolist() == [0, 1, 0, 1]
     assert_dense_is_rounded_fractions(matrix)
@@ -1047,6 +1051,87 @@ def test_numerators_past_int64_stay_exact_on_every_reader():
     assert dynamics._mixing_time_integer(matrix) == 5 == mixing_time_exact(matrix)
     assert mixing_time_exact(two_state_matrix(Fraction(1, 10))) == 5
 
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth", [(2, 1, 3, 0), (2, 2, 3, 1), (3, 1, 4, 0), (2, 1, 4, 5)]
+)
+def test_rows_and_entries_are_the_same_matrix(branching, depth, k, block_depth):
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    rows, columns, numerators = matrix.entries
+    assert len(matrix.rows) == matrix.size
+    assert [(i, j, num) for i, row in enumerate(matrix.rows) for j, num in row.items()] == list(
+        zip(rows.tolist(), columns.tolist(), numerators.tolist())
+    )
+    assert all(type(j) is int and type(num) is int for row in matrix.rows for j, num in row.items())
+    again = make_matrix(matrix.rows, matrix.denominator)
+    for got, want in zip(again.entries, matrix.entries):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert again.rows == matrix.rows
+    for array in matrix.entries + again.entries:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matrix.rows = ()
+
+
+def test_hand_built_entries_are_taken_over_read_only():
+    rows, columns = np.array([0, 0, 1]), np.array([0, 1, 1])
+    numerators = np.array([1, 1, 2], dtype=object)
+    matrix = TransitionMatrix(TreeShape(2, 0), 2, 0, ((1,), (2,)), (rows, columns, numerators), 2)
+    assert matrix.entries[0] is rows and not rows.flags.writeable
+    assert matrix.entries[2].dtype == np.int64  # the total, 4, fits
+    assert matrix.rows == ({0: 1, 1: 1}, {1: 2})
+
+
+def _malformed(entries, denominator=2, size=2):
+    return TransitionMatrix(
+        TreeShape(2, 0), 2, 0, tuple((i,) for i in range(size)), entries, denominator
+    )
+
+
+@pytest.mark.parametrize(
+    "entries, denominator, size, match",
+    [
+        (([], [], []), 1, 0, "at least one state"),
+        (([0, 1], [0, 1], [2, 2]), 0, 2, "positive int"),
+        (([0, 1], [0, 1], [2, 2]), 2.0, 2, "positive int"),
+        (([0, 1], [0, 1]), 2, 2, r"\(row, column, numerator\)"),
+        (([[0, 1]], [[0, 1]], [[2, 2]]), 2, 2, "1-D"),
+        (([0, 1], [0, 1], [2]), 2, 2, "1-D"),
+        (([0.0, 1.0], [0, 1], [2, 2]), 2, 2, "integers"),
+        (([0, 0, 1], [0, 2, 1], [1, 1, 2]), 2, 2, r"0\.\.1"),  # a column >= size
+        (([0, 1], [0, -1], [2, 2]), 2, 2, r"0\.\.1"),
+        (([0, 0, 1], [1, 0, 1], [1, 1, 2]), 2, 2, "strictly ascend"),
+        (([0, 0, 1], [0, 0, 1], [1, 1, 2]), 2, 2, "strictly ascend"),  # a repeated pair
+        (([1, 0], [1, 0], [2, 2]), 2, 2, "strictly ascend"),
+        (([0, 1], [0, 1], [2.0, 2.0]), 2, 2, "integers"),
+        (([0, 1], [0, 1], np.array([2.0, 2], dtype=object)), 2, 2, "integers"),
+        (([0, 0, 1, 1], [0, 1, 0, 1], [-1, 3, 3, -1]), 2, 2, "positive"),
+        (([0, 0, 1], [0, 1, 1], [0, 2, 2]), 2, 2, "positive"),
+        (([0, 1], [0, 1], [1, 2]), 2, 2, "sum to the denominator"),
+        (([0], [0], [2]), 2, 2, "sum to the denominator"),  # row 1 is empty
+        (([0, 0, 1], [0, 1, 1], [3, 1, 2]), 2, 2, "sum to the denominator"),
+        (([0, 1], [0, 1], [2**64, 2**64 + 1]), 2**64, 2, "sum to the denominator"),
+    ],
+)
+def test_constructor_rejects_a_malformed_matrix(entries, denominator, size, match):
+    with pytest.raises(ValidationError, match=match):
+        _malformed(entries, denominator, size)
+
+
+def test_build_peak_memory():
+    # (2, 2, 4, 1): 2916 states and 182244 entries; the build's traced peak
+    # was 14.1 MiB with the sorted arrays as the one stored form, and 19.2 MiB
+    # when the rows were written as dicts too
+    build_transition_matrix(TreeShape(2, 2), 4, 1)  # fill the group caches
+    tracemalloc.start()
+    try:
+        build_transition_matrix(TreeShape(2, 2), 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 def assert_dense_is_rounded_fractions(matrix):
     dense = matrix.to_dense()
@@ -1326,3 +1411,9 @@ def test_entropy_ratio_report_bounds():
     assert 0.0 < partial["min_ratio"] <= n_vertices + 1e-9
     with pytest.raises(ValidationError):
         entropy_ratio_report(shape, k, 0, 0, RandomSource(1))
+
+
+@pytest.mark.parametrize("trials, match", [(0, "trials must be >= 1"), (2.5, "integer"), ("3", "integer")])
+def test_entropy_ratio_report_rejects_a_bad_trial_count(trials, match):
+    with pytest.raises(ValidationError, match=match):
+        entropy_ratio_report(TreeShape(2, 1), 3, 0, trials, RandomSource(1))

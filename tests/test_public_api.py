@@ -44,10 +44,10 @@ def test_public_names_are_pinned():
     assert all(hasattr(treecolor, name) for name in treecolor.__all__)
 
 
-TRANSITION_MATRIX_FIELDS = ["shape", "k", "block_depth", "states", "rows", "denominator"]
+TRANSITION_MATRIX_FIELDS = ["shape", "k", "block_depth", "states", "entries", "denominator"]
 
 
 def test_transition_matrix_fields_are_pinned():
-    # rows hold {column: int numerator} over the one int denominator
+    # entries hold (row, column, int numerator) arrays over the one int denominator
     fields = [f.name for f in dataclasses.fields(treecolor.TransitionMatrix)]
     assert fields == TRANSITION_MATRIX_FIELDS
