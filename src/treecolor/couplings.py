@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import broadcast_sampler, exact_engine
-from .errors import InfeasibleChannelError, ValidationError
+from .errors import CapacityError, InfeasibleChannelError, ValidationError
 from .estimators import Estimate, TailEstimate, batch_sums, mean_estimate, tail_estimate
 from .exact_engine import ColorDistribution
 from .rng import RandomSource
 from .tree_model import PartialLeafColoring, TreeShape, _check_k, check_leaf_coloring
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +107,15 @@ def _hamming_distances(
     of its children draws u uniform on [k]\\{a}, surviving as (b, a) when
     u = b -- the rule of `coupled_leaf_rows`.  Agreeing vertices are never
     drawn.  At k = 2 every child of a disagreeing vertex disagrees, so every
-    leaf does and nothing is drawn.
+    leaf does and nothing is drawn; a leaf count past int64 raises
+    CapacityError.
     """
     c1, c2 = _check_roots(k, c1, c2)
     if c1 == c2:
         return np.zeros(n, dtype=np.int64)
     if k == 2:
+        if shape.leaf_count > _INT64_MAX:
+            raise CapacityError(f"{shape.branching}**{shape.depth} leaves exceed the int64 range")
         return np.full(n, shape.leaf_count, dtype=np.int64)
     gen = rng.generator
     b = shape.branching
@@ -165,14 +170,22 @@ def disagreement_counts(
     branching: int, k: int, depth: int, n: int, rng: RandomSource
 ) -> np.ndarray:
     """n independent draws of D_depth for the chain D_0 = 1,
-    D_{i+1} ~ Bin(branching * D_i, 1/(k-1))."""
+    D_{i+1} ~ Bin(branching * D_i, 1/(k-1)).
+
+    The trials branching * D_i are int64, so a level where one of them
+    would pass 2**63 - 1 raises CapacityError before it is drawn.
+    """
     if branching < 2 or k < 2:
         raise ValidationError("need branching >= 2 and k >= 2")
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     gen = rng.generator
     counts = np.ones(n, dtype=np.int64)
-    for _ in range(depth):
+    for level in range(depth):
+        if counts.size and counts.max() > _INT64_MAX // branching:
+            raise CapacityError(
+                f"the trials for level {level + 1} of the branching process exceed int64"
+            )
         counts = gen.binomial(branching * counts, 1.0 / (k - 1))
     return counts
 

@@ -36,12 +36,18 @@ int16 array (`_state_array`), labelled per block root by their colors
 outside the block (`_outside_groups`).  A move maps f to its group average
 M_r f (`_average`), so its conditional entropy is Ent(f) - Ent(M_r f), and
 the exact transition matrix is built from the same groups as the one form it
-stores, its entries as integer arrays sorted by row and then column.
+stores, its entries as integer arrays sorted by row and then column.  The
+diagnostics read those entries: `entry` binary-searches a row's slice of
+them, the exact integer mixing path pushes its start rows through them, and
+above 4000 states the power iteration for the spectral gap takes each
+product Px as one `np.bincount` over them.  A dense float copy
+(`to_dense`) is built only where a dense routine needs it: `eigvalsh`, up
+to 4000 states, and the certified float mixing path, up to 400.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
-states, and a step closer than that falls back to exact integer matrix
-powers, so the reported t is always exact.  Color permutations and swaps
+states, and a step closer than that falls back to exact integer powers,
+so the reported t is always exact.  Color permutations and swaps
 of sibling subtrees commute with the kernel, so a start's TV is that of
 every state in its orbit (`_orbits`, cached per tree and k): both paths
 propagate one start per orbit, 12 of the 192 states on (2, 2, 3).
@@ -362,28 +368,31 @@ def run_chain(
     `FullColoring` and for properness (an improper one raises
     ValidationError), when the chain returns; `state` itself is
     unchanged.  The block counts come from the memo of the chain's block
-    shape (`_shape_memo`), which later chains of that shape reuse.
+    shape (`_shape_memo`), which later chains of that shape reuse.  A
+    vertex's plan is looked up the first time the chain picks it, so setup
+    grows with the blocks a run touches, not with the tree.
     `block_depth`, `steps` and `thin` must be integers.
     """
     _check_integer("steps", steps, 0)
     _check_integer("thin", thin, 1)
     shape, k = state.shape, state.k
-    plan_of = [
-        _plan(shape, block_root(shape, v, block_depth), block_depth)
-        for v in range(shape.vertex_count)
-    ]
+    root_plan = _plan(shape, 0, block_depth)
     if steps == 0:
         return state
+    plan_of: list = [None] * shape.vertex_count  # filled as vertices are picked
     gen = rng.generator
     values = state.coloring.values.tolist()
     # every block of a chain has height min(block_depth, depth), so one width
-    memo = _shape_memo(shape.branching, k, len(plan_of[0].frontier))
+    memo = _shape_memo(shape.branching, k, len(root_plan.frontier))
     done = 0
     while done < steps:
         size = min(_CHUNK, steps - done)
         choices = gen.integers(0, shape.vertex_count, size=size).tolist()
         for v, word in zip(choices, _words(gen, size)):
-            _resample(values, plan_of[v], word, gen, memo)
+            plan = plan_of[v]
+            if plan is None:
+                plan = plan_of[v] = _plan(shape, block_root(shape, v, block_depth), block_depth)
+            _resample(values, plan, word, gen, memo)
             done += 1
             if visit_counts is not None and done % thin == 0:
                 key = tuple(values)
@@ -403,11 +412,17 @@ def state_space_size(shape: TreeShape, k: int) -> int:
     return k * (k - 1) ** (shape.vertex_count - 1)
 
 
-def _check_state_guard(size: int) -> None:
-    if size > STATE_GUARD:
-        raise CapacityError(
-            f"{size} proper colorings exceed the {STATE_GUARD} state guard"
-        )
+def _check_state_guard(shape: TreeShape, k: int) -> None:
+    """Raise unless the proper colorings number at most STATE_GUARD.
+
+    (k-1)^(V-1) >= 2^e with e = (V-1)(bits(k-1) - 1), so the count is at
+    least 2^(e+1) and e alone rules out a tree too large to count; the
+    count is formed only when e is small, and the message never prints it.
+    """
+    _check_k(k)
+    least_bits = (shape.vertex_count - 1) * (int(k - 1).bit_length() - 1)
+    if least_bits >= STATE_GUARD.bit_length() or state_space_size(shape, k) > STATE_GUARD:
+        raise CapacityError(f"the proper colorings exceed the {STATE_GUARD} state guard")
 
 
 def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
@@ -421,8 +436,8 @@ def _state_array(shape: TreeShape, k: int) -> np.ndarray:
     one base-(k-1) digit among the colors its parent leaves, in increasing
     order.  One vectorized pass per vertex, parents first; `_state_index`
     reads the radix back."""
+    _check_state_guard(shape, k)
     size = state_space_size(shape, k)
-    _check_state_guard(size)
     b, width = shape.branching, shape.vertex_count
     index = np.arange(size)
     states = np.empty((size, width), dtype=np.int16)
@@ -502,8 +517,10 @@ class TransitionMatrix:
     or written by hand: at least one state, integer rows and columns in
     range, (row, column) pairs strictly ascending, positive numerators and
     every row summing to the positive int denominator.  It takes the
-    arrays over, in those dtypes, and marks them read-only.  `rows` is the
-    same matrix as {column: numerator} dicts.
+    arrays over, in those dtypes, and marks them read-only.  `entries` is
+    the matrix's one stored form: `entry(i, j)` reads it by binary search,
+    and `to_dense()`, the float copy that `eigvalsh` and the certified float
+    mixing path need, is built from it on first use.
 
     `build_transition_matrix` also records, outside the fields, one start
     per orbit of the states under `_symmetries`, which commute with the
@@ -560,32 +577,35 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def rows(self) -> tuple:
-        """Row i as {column: numerator}, columns ascending, Python ints
-        throughout; built from `entries` on first use."""
-        ends = np.cumsum(np.bincount(self.entries[0], minlength=self.size)).tolist()
-        columns, numerators = self.entries[1].tolist(), self.entries[2].tolist()
-        return tuple(dict(zip(columns[a:b], numerators[a:b])) for a, b in zip([0, *ends], ends))
-
     def entry(self, i: int, j: int) -> Fraction:
+        """Entry (i, j) as a Fraction, found by binary search in row i's
+        slice of the sorted entries; 0 where none is stored."""
         if not all(isinstance(x, (int, np.integer)) and 0 <= x < self.size for x in (i, j)):
             raise ValidationError(f"entry ({i}, {j}) is outside the {self.size}-state matrix")
-        return Fraction(self.rows[i].get(j, 0), self.denominator)
+        rows, columns, numerators = self.entries
+        lo, hi = rows.searchsorted([i, i + 1])
+        at = lo + int(columns[lo:hi].searchsorted(j))
+        stored = at < hi and columns[at] == j
+        return Fraction(int(numerators[at]) if stored else 0, self.denominator)
+
+    def _values(self) -> np.ndarray:
+        """The entries as float64, each the correctly rounded value of its
+        fraction: Python's int / int true division rounds correctly, and
+        each distinct numerator is divided once."""
+        distinct, inverse = np.unique(self.entries[2], return_inverse=True)
+        return np.array([num / self.denominator for num in distinct.tolist()])[inverse]
 
     def to_dense(self) -> np.ndarray:
-        """float64 entries, each the correctly rounded value of its fraction:
-        Python's int / int true division rounds correctly.  Built on the
-        first call; every call returns that one read-only array."""
+        """float64 entries, each the correctly rounded value of its fraction
+        (see `_values`).  Built on the first call; every call returns that
+        one read-only array."""
         return self._dense
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        rows, columns, numerators = self.entries
-        distinct, inverse = np.unique(numerators, return_inverse=True)
+        rows, columns, _ = self.entries
         dense = np.zeros((self.size, self.size))
-        values = np.array([num / self.denominator for num in distinct.tolist()])
-        dense[rows, columns] = values[inverse]
+        dense[rows, columns] = self._values()
         dense.setflags(write=False)
         return dense
 
@@ -647,11 +667,10 @@ def stationary_and_gap(matrix: TransitionMatrix) -> dict:
     pairs = (rows, columns), (columns, rows), (numerators, numerators)
     sums = np.zeros(matrix.size, numerators.dtype)
     np.add.at(sums, columns, numerators)
-    dense = matrix.to_dense()
     if matrix.size > 4000:
-        lambda2 = _second_eigenvalue_power(dense)
+        lambda2 = _second_eigenvalue_power(matrix)
     else:
-        lambda2 = float(np.linalg.eigvalsh(dense)[-2]) if matrix.size > 1 else 0.0
+        lambda2 = float(np.linalg.eigvalsh(matrix.to_dense())[-2]) if matrix.size > 1 else 0.0
     return {
         "is_symmetric": all(np.array_equal(a, b[transpose]) for a, b in pairs),
         "is_uniform_stationary": bool((sums == matrix.denominator).all()),
@@ -659,8 +678,9 @@ def stationary_and_gap(matrix: TransitionMatrix) -> dict:
     }
 
 
-def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
-    """Deflated power iteration on P itself, for lambda_2.
+def _second_eigenvalue_power(matrix: TransitionMatrix, tol: float = 1e-10) -> float:
+    """Deflated power iteration on P itself, for lambda_2, read off the
+    entries: each product Px is one `np.bincount` by row.
 
     Each M_r is an orthogonal projection under the uniform law, so
     P = sum over r of (m_r / N) M_r is positive semidefinite and lambda_2
@@ -671,11 +691,13 @@ def _second_eigenvalue_power(dense: np.ndarray, tol: float = 1e-10) -> float:
     step; a run that has not met `tol` after `_POWER_STEPS` steps raises
     CapacityError.
     """
-    x = np.random.default_rng(0).standard_normal(dense.shape[0])
+    rows, columns, _ = matrix.entries
+    values = matrix._values()
+    x = np.random.default_rng(0).standard_normal(matrix.size)
     x -= x.mean()
     x /= np.linalg.norm(x)
     for _ in range(_POWER_STEPS):
-        y = dense @ x
+        y = np.bincount(rows, values * x[columns], minlength=matrix.size)
         y -= y.mean()
         mu = float(x @ y)
         residual = float(np.linalg.norm(y - mu * x))
@@ -708,9 +730,8 @@ def _check_mixing_size(size: int) -> None:
 def check_exact_capacity(shape: TreeShape, k: int) -> None:
     """Raise, before any matrix is built, the CapacityError that
     enumerate_states or mixing_time_exact would raise on this instance."""
-    size = state_space_size(shape, k)
-    _check_state_guard(size)
-    _check_mixing_size(size)
+    _check_state_guard(shape, k)
+    _check_mixing_size(state_space_size(shape, k))
 
 
 def mixing_time_exact(matrix: TransitionMatrix) -> int:
@@ -768,17 +789,26 @@ def mixing_time_exact(matrix: TransitionMatrix) -> int:
 def _mixing_time_integer(matrix: TransitionMatrix) -> int:
     """mixing_time_exact from exact integer powers over a common denominator.
 
-    The comparison against the irrational threshold is decided with
-    rational bounds on e, tight to ~1e-60, instead of floats.  Only the
-    orbit starts' rows are propagated, when the matrix has starts.
+    The start rows of P^t, times d^t, are Python ints; each step multiplies
+    them by P through the entries: gather the rows' values at each entry's
+    row, multiply by its numerator, and sum each column's run of entries
+    with one `np.add.reduceat`.  The comparison against the irrational
+    threshold is decided with rational bounds on e, tight to ~1e-60,
+    instead of floats.  Only the orbit starts' rows are propagated, when
+    the matrix has starts.
     """
     size = matrix.size
     rows, columns, numerators = matrix.entries
-    base = np.zeros((size, size), dtype=object)
-    base[rows, columns] = numerators  # int64 numerators land as Python ints
+    # the entries in column order, so a product's column j sums one run of them
+    order = np.argsort(columns, kind="stable")
+    source, weight = rows[order], numerators[order].astype(object)  # Python ints
+    present, first = np.unique(columns[order], return_index=True)
     e_lo = sum(Fraction(1, math.factorial(i)) for i in range(51))
     e_hi = e_lo + Fraction(2, math.factorial(51))
-    power = base if matrix._starts is None else base[matrix._starts]
+    starts = np.arange(size) if matrix._starts is None else matrix._starts
+    kept = np.isin(rows, starts)
+    power = np.zeros((len(starts), size), dtype=object)  # row x of P^t, times d^t
+    power[starts.searchsorted(rows[kept]), columns[kept]] = numerators[kept]  # as Python ints
     scale = matrix.denominator
     for t in range(1, _MIXING_STEP_GUARD + 1):
         worst = np.abs(size * power - scale).sum(axis=1).max()
@@ -787,7 +817,9 @@ def _mixing_time_integer(matrix: TransitionMatrix) -> int:
             return t
         if worst * e_lo <= size * scale:  # pragma: no cover - e known to 1e-60
             raise CapacityError("mixing threshold undecidable at current e precision")
-        power = power @ base
+        product = np.zeros_like(power)
+        product[:, present] = np.add.reduceat(power[:, source] * weight, first, axis=1)
+        power = product
         scale *= matrix.denominator
     raise CapacityError(f"mixing time exceeds {_MIXING_STEP_GUARD} steps")
 
@@ -869,8 +901,8 @@ def entropy_ratio_report(
     """Worst observed ratio of summed local entropies to global entropy over
     random log-normal test functions.  Diagnostic only."""
     _check_integer("trials", trials, 1)
+    _check_state_guard(shape, k)
     size = state_space_size(shape, k)
-    _check_state_guard(size)
     gen = rng.generator
     worst = math.inf
     for _ in range(trials):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RegimeError, ValidationError
+from .errors import CapacityError, RegimeError, ValidationError
 from .estimators import Estimate, batch_sums, proportion_estimate
 from .exact_engine import _unused_slot_law
 from .rng import RandomSource
@@ -152,13 +152,19 @@ def estimate_q(
     above the threshold.  Drawn as `broadcast_sampler._unused_by_color`
     draws it, u counts the entries of the CDF of `_unused_slot_law` at or
     below a uniform x, so the block passes iff x >= cdf[u* - 1]: one
-    uniform and one comparison per block, from the same stream.
+    uniform and one comparison per block, from the same stream.  More
+    bottom blocks than one array can index raise CapacityError before any
+    draw.
     """
     _check_k(k)
     if shape.depth < 1:
         raise ValidationError("the classifier is undefined on a depth-0 tree")
-    heights = qualifying_heights(shape, params) if highly else None
     blocks = shape.branching ** (shape.depth - 1)
+    if blocks > np.iinfo(np.intp).max:
+        raise CapacityError(
+            f"{shape.branching}**{shape.depth - 1} bottom blocks exceed one array's index range"
+        )
+    heights = qualifying_heights(shape, params) if highly else None
     gen = rng.generator
     least = max(0, math.ceil(_block_threshold(shape.branching, params.epsilon)) - 1)
     if least == 0:

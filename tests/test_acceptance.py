@@ -217,10 +217,11 @@ def test_criterion_07_dynamics_exactness():
     shape, k = TreeShape(2, 1), 4
     matrix = build_transition_matrix(shape, k, 0)
     assert matrix.size == 36
-    for i, row in enumerate(matrix.rows):
-        assert sum(row.values()) == matrix.denominator
-        for j, val in row.items():
-            assert matrix.rows[j].get(i) == val
+    sums = [0] * matrix.size
+    for i, j, num in zip(*(array.tolist() for array in matrix.entries)):
+        assert matrix.entry(j, i) == Fraction(num, matrix.denominator)
+        sums[i] += num
+    assert sums == [matrix.denominator] * matrix.size
     info = stationary_and_gap(matrix)
     assert info["is_uniform_stationary"]
     assert info["spectral_gap"] > 0

@@ -28,6 +28,7 @@ from treecolor.dynamics import (
     block_root,
     block_vertices,
     build_transition_matrix,
+    check_exact_capacity,
     conditional_entropy,
     entropy_functional,
     entropy_ratio_report,
@@ -295,6 +296,19 @@ def test_moves_store_checked_colorings():
 
 # ---------------------------------------------------------------------------
 # chains
+
+
+def test_run_chain_builds_a_plan_only_for_the_vertices_it_picks(monkeypatch):
+    # (2, 16) has 131071 vertices, far past _plan's 1024-entry cache; a short
+    # chain builds the root's plan and at most one per move
+    shape = TreeShape(2, 16)
+    start = initial_state(shape, 3, RandomSource(9))
+    built = []
+    plan = dynamics._plan
+    monkeypatch.setattr(dynamics, "_plan", lambda *args: built.append(args) or plan(*args))
+    out = run_chain(start, 0, 200, RandomSource(10))
+    assert out.time == 200
+    assert 1 < len(built) <= 201
 
 
 def test_run_chain_bookkeeping_and_determinism():
@@ -719,6 +733,27 @@ def test_state_enumeration_guard():
         build_transition_matrix(TreeShape(2, 3), 3, 0)
 
 
+def test_state_guard_decides_from_bit_lengths_as_the_count_would():
+    for branching, depth, k in itertools.product(range(2, 6), range(4), range(2, 40)):
+        shape = TreeShape(branching, depth)
+        if state_space_size(shape, k) > dynamics.STATE_GUARD:
+            with pytest.raises(CapacityError, match="state guard"):
+                dynamics._check_state_guard(shape, k)
+        else:
+            dynamics._check_state_guard(shape, k)
+
+
+@pytest.mark.parametrize("shape", [TreeShape(100_000, 1), TreeShape(2, 40)])
+def test_state_guard_never_forms_a_huge_count(shape):
+    # 3 * 2**100000 has more digits than int-to-str allows, and at (2, 40) the
+    # count has 2**41 bits: the guard raises without forming either
+    with pytest.raises(CapacityError, match="state guard"):
+        dynamics._check_state_guard(shape, 3)
+    with pytest.raises(CapacityError, match="state guard"):
+        check_exact_capacity(shape, 3)
+    assert dynamics._check_state_guard(shape, 2) is None  # two colorings at any size
+
+
 def test_matrix_entry_guard_trips_before_any_row_is_built():
     # 7220 states under the state guard, but one group of all of them at
     # block depth 1: 7220**2 row entries
@@ -726,14 +761,24 @@ def test_matrix_entry_guard_trips_before_any_row_is_built():
         build_transition_matrix(TreeShape(2, 1), 20, 1)
 
 
+def entry_rows(matrix: TransitionMatrix) -> list[dict]:
+    """Row i of `matrix` as {column: numerator}, Python ints, read off its
+    sorted entries."""
+    rows: list[dict] = [{} for _ in range(matrix.size)]
+    for i, j, num in zip(*(array.tolist() for array in matrix.entries)):
+        rows[i][j] = num
+    return rows
+
+
 def test_transition_matrix_rows_are_distributions_and_symmetric():
     for block_depth in (0, 1):
         matrix = build_transition_matrix(TreeShape(2, 1), 3, block_depth)
-        for i, row in enumerate(matrix.rows):
-            assert sum(row.values()) == matrix.denominator
-            for j, val in row.items():
-                assert val > 0
-                assert matrix.rows[j].get(i) == val
+        sums = [0] * matrix.size
+        for i, j, num in zip(*(array.tolist() for array in matrix.entries)):
+            assert num > 0
+            assert matrix.entry(j, i) == Fraction(num, matrix.denominator)
+            sums[i] += num
+        assert sums == [matrix.denominator] * matrix.size
         assert matrix.entry(0, 0) >= Fraction(1, matrix.size)
 
 
@@ -772,8 +817,9 @@ def test_matrix_from_groups_matches_completion_search(branching, depth, k, block
     matrix = build_transition_matrix(shape, k, block_depth)
     expected = oracle_transition_rows(shape, k, block_depth)
     assert matrix.states == tuple(enumerate_states(shape, k))
-    assert len(matrix.rows) == len(expected)
-    for i, (got, want) in enumerate(zip(matrix.rows, expected)):
+    rows = entry_rows(matrix)
+    assert len(rows) == len(expected)
+    for i, (got, want) in enumerate(zip(rows, expected)):
         assert list(got) == sorted(want)
         assert all(matrix.entry(i, j) == val for j, val in want.items())
         assert all(type(j) is int and type(val) is int for j, val in got.items())
@@ -791,9 +837,9 @@ def test_full_depth_matrix_rows_are_exactly_uniform():
     ]:
         matrix = build_transition_matrix(shape, k, block_depth)
         uniform = Fraction(1, matrix.size)
-        for i, row in enumerate(matrix.rows):
-            assert len(row) == matrix.size
-            assert all(matrix.entry(i, j) == uniform for j in row)
+        assert len(matrix.entries[0]) == matrix.size**2
+        for i, j in itertools.product(range(matrix.size), repeat=2):
+            assert matrix.entry(i, j) == uniform
         assert mixing_time_exact(matrix) == 1
         info = stationary_and_gap(matrix)
         assert info["is_uniform_stationary"]
@@ -818,10 +864,9 @@ def test_uniform_stationarity_and_frozen_gaps():
 @pytest.mark.parametrize("block_depth", [0, 1])
 def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
     # the >4000-state branch of stationary_and_gap, run on a 192-state kernel
-    dense = build_transition_matrix(TreeShape(2, 2), 3, block_depth).to_dense()
-    eigs = np.linalg.eigvalsh(dense)
-    lam2 = float(eigs[-2])
-    got = dynamics._second_eigenvalue_power(dense)
+    matrix = build_transition_matrix(TreeShape(2, 2), 3, block_depth)
+    lam2 = float(np.linalg.eigvalsh(matrix.to_dense())[-2])
+    got = dynamics._second_eigenvalue_power(matrix)
     # The iteration stops once the residual |((I+P)/2)x - mu x| is at most
     # 1e-10, which puts the Rayleigh quotient of the symmetric kernel within
     # about 1e-20 / gap of lambda_2, from below; 1e-11 leaves room for
@@ -833,11 +878,29 @@ def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
 def test_power_iteration_raises_when_it_runs_out_of_steps(monkeypatch):
     # P = I - 1e-9 L, L the path Laplacian on 3 states: the gap is 1e-9,
     # far too small for the residual to fall below 1e-10 in 1000 steps
-    laplacian = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    dense = np.eye(3) - 1e-9 * laplacian
+    d = 10**9
+    matrix = make_matrix([{0: d - 1, 1: 1}, {0: 1, 1: d - 2, 2: 1}, {1: 1, 2: d - 1}], d)
     monkeypatch.setattr(dynamics, "_POWER_STEPS", 1000)
     with pytest.raises(CapacityError, match="residual"):
-        dynamics._second_eigenvalue_power(dense)
+        dynamics._second_eigenvalue_power(matrix)
+
+
+def test_gap_past_4000_states_reads_the_entries_in_bounded_memory():
+    # (2, 1, 17, 0): 4352 states and 196112 entries.  The dense matrix alone
+    # would take 145 MiB; the power iteration on the entries peaked at
+    # 9.2 MiB.  The gap is the one the dense power iteration gave, up to
+    # rounding in the order of the sums.
+    matrix = build_transition_matrix(TreeShape(2, 1), 17, 0)
+    tracemalloc.start()
+    try:
+        info = stationary_and_gap(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert "_dense" not in vars(matrix)  # no dense copy was built
+    assert info["is_symmetric"] and info["is_uniform_stationary"]
+    assert info["spectral_gap"] == pytest.approx(0.3038471382134905, abs=1e-12)
 
 
 def test_exact_mixing_times():
@@ -999,8 +1062,9 @@ def path_matrix(size: int, cut: int | None = None) -> TransitionMatrix:
 def bfs_reaches_all(matrix: TransitionMatrix) -> bool:
     """Oracle: a depth-first search from state 0 over the rows' columns."""
     seen, stack = {0}, [0]
+    rows = entry_rows(matrix)
     while stack:
-        for j in matrix.rows[stack.pop()]:
+        for j in rows[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -1056,23 +1120,47 @@ def test_numerators_past_int64_stay_exact_on_every_reader():
     "branching, depth, k, block_depth", [(2, 1, 3, 0), (2, 2, 3, 1), (3, 1, 4, 0), (2, 1, 4, 5)]
 )
 def test_rows_and_entries_are_the_same_matrix(branching, depth, k, block_depth):
+    # the rows read off the entries build the same matrix again
     matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
-    rows, columns, numerators = matrix.entries
-    assert len(matrix.rows) == matrix.size
-    assert [(i, j, num) for i, row in enumerate(matrix.rows) for j, num in row.items()] == list(
-        zip(rows.tolist(), columns.tolist(), numerators.tolist())
-    )
-    assert all(type(j) is int and type(num) is int for row in matrix.rows for j, num in row.items())
-    again = make_matrix(matrix.rows, matrix.denominator)
+    rows = entry_rows(matrix)
+    again = make_matrix(rows, matrix.denominator)
     for got, want in zip(again.entries, matrix.entries):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert again.rows == matrix.rows
+    assert entry_rows(again) == rows
+    assert all(matrix.entry(i, j) == Fraction(num, matrix.denominator)
+               for i, row in enumerate(rows) for j, num in row.items())
     for array in matrix.entries + again.entries:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        matrix.rows = ()
+        matrix.entries = ()
+    assert not hasattr(matrix, "rows")
+
+
+ENTRY_MATRICES = {
+    "built": lambda: build_transition_matrix(TreeShape(2, 2), 3, 1),
+    # columns 0 and 2 differ in their counts, and no entry lies at (1, 0)
+    "hand-written": lambda: make_matrix([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}], 3),
+    # Python-int numerators, all past int64
+    "python-ints": lambda: make_matrix(
+        [{0: 9 * 2**63, 1: 2**63}, {0: 2**63, 1: 9 * 2**63}], 10 * 2**63
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_MATRICES)
+def test_entry_is_the_fraction_at_every_position(name):
+    # entry(i, j) against the stored fractions and to_dense()'s floats, at
+    # every (i, j), stored or not
+    matrix = ENTRY_MATRICES[name]()
+    stored = {(i, j): Fraction(num, matrix.denominator)
+              for i, j, num in zip(*(array.tolist() for array in matrix.entries))}
+    dense = matrix.to_dense()
+    for i, j in itertools.product(range(matrix.size), repeat=2):
+        want = stored.get((i, j), Fraction(0))
+        assert matrix.entry(i, j) == want, (i, j)
+        assert dense[i, j] == float(want), (i, j)
 
 
 def test_hand_built_entries_are_taken_over_read_only():
@@ -1081,7 +1169,7 @@ def test_hand_built_entries_are_taken_over_read_only():
     matrix = TransitionMatrix(TreeShape(2, 0), 2, 0, ((1,), (2,)), (rows, columns, numerators), 2)
     assert matrix.entries[0] is rows and not rows.flags.writeable
     assert matrix.entries[2].dtype == np.int64  # the total, 4, fits
-    assert matrix.rows == ({0: 1, 1: 1}, {1: 2})
+    assert entry_rows(matrix) == [{0: 1, 1: 1}, {1: 2}]
 
 
 def _malformed(entries, denominator=2, size=2):
@@ -1213,7 +1301,7 @@ def test_symmetries_commute_with_the_kernel(branching, depth, k):
     for image in images:
         assert sorted(image.tolist()) == list(range(len(states)))
         for block_depth in range(depth + 1):
-            rows = build_transition_matrix(shape, k, block_depth).rows
+            rows = entry_rows(build_transition_matrix(shape, k, block_depth))
             for i, row in enumerate(rows):
                 moved = rows[image[i]]
                 assert len(moved) == len(row)
@@ -1256,7 +1344,7 @@ def test_hand_built_matrix_propagates_every_row():
     assert len(set(tvs.round(12).tolist())) == 3
     t_mix = mixing_time_exact(matrix)
     assert t_mix == dynamics._mixing_time_integer(matrix)
-    one_start = make_matrix(matrix.rows, 4)
+    one_start = make_matrix(entry_rows(matrix), 4)
     object.__setattr__(one_start, "_starts", np.array([1]))
     assert mixing_time_exact(one_start) < t_mix  # start 1 mixes first
 
@@ -1269,6 +1357,51 @@ def test_integer_path_from_orbit_starts_matches_all_starts(branching, depth, k, 
     matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
     integer = dynamics._mixing_time_integer
     assert integer(matrix) == integer(all_starts(matrix))
+
+
+def dense_integer_mixing_time(matrix: TransitionMatrix) -> int:
+    """Oracle for `_mixing_time_integer`: the start rows of P, held as one
+    dense object array of Python ints, times P per step (`power @ base`)."""
+    size = matrix.size
+    rows, columns, numerators = matrix.entries
+    base = np.zeros((size, size), dtype=object)
+    base[rows, columns] = numerators
+    e_lo = sum(Fraction(1, math.factorial(i)) for i in range(51))
+    e_hi = e_lo + Fraction(2, math.factorial(51))
+    power = base if matrix._starts is None else base[matrix._starts]
+    scale = matrix.denominator
+    for t in range(1, dynamics._MIXING_STEP_GUARD + 1):
+        worst = np.abs(size * power - scale).sum(axis=1).max()
+        if worst * e_hi <= size * scale:
+            return t
+        assert worst * e_lo > size * scale  # e is known to 1e-60
+        power = power @ base
+        scale *= matrix.denominator
+    raise AssertionError("no mixing time within the step guard")
+
+
+def test_integer_path_handles_a_column_with_no_entries(monkeypatch):
+    # state 0 reaches state 1, which never returns: column 0 holds no entry,
+    # every row of P^t is (0, 1) and its TV from uniform stays 1/2
+    matrix = make_matrix([{1: 1}, {1: 1}], 1)
+    monkeypatch.setattr(dynamics, "_MIXING_STEP_GUARD", 50)
+    with pytest.raises(CapacityError, match="exceeds 50 steps"):
+        dynamics._mixing_time_integer(matrix)
+    with pytest.raises(AssertionError, match="step guard"):
+        dense_integer_mixing_time(matrix)
+
+
+@pytest.mark.parametrize("branching, depth, k, block_depth", mixing_instances())
+def test_integer_path_matches_dense_integer_powers(branching, depth, k, block_depth):
+    # from the orbit starts on every instance; from every state as well where
+    # the dense powers of all rows stay cheap, at most 108 states and 200
+    # steps: all 96 rows of (5, 1, 3, 0), t = 240, took the oracle 9 s
+    matrix = build_transition_matrix(TreeShape(branching, depth), k, block_depth)
+    t_mix = dynamics._mixing_time_integer(matrix)
+    assert t_mix == dense_integer_mixing_time(matrix) == mixing_time_exact(matrix)
+    if matrix.size <= 108 and t_mix < 200:
+        every = all_starts(matrix)
+        assert dynamics._mixing_time_integer(every) == t_mix == dense_integer_mixing_time(every)
 
 
 # ---------------------------------------------------------------------------

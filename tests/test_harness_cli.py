@@ -573,7 +573,7 @@ def test_cli_dynamics_exact_with_matrix_export(tmp_path, capsys):
         i, j, num, den = (int(tok) for tok in line.split(","))
         assert matrix.entry(i, j) == Fraction(num, den)
         seen += 1
-    assert seen == sum(len(row) for row in matrix.rows)
+    assert seen == len(matrix.entries[0])
 
 
 # SHA-256 of the stdout and of the --matrix-out CSV of
@@ -927,6 +927,34 @@ def test_cli_couple_down_reruns_are_byte_identical(tmp_path, extra):
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 0
     assert outputs[0] != outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    # the trials of level 13, 64 * D_12, pass int64 (E D_13 = 32**13)
+    ["couple", "--mode", "branching", "--delta", "64", "--k", "3", "--depth", "13",
+     "--samples", "1", "--seed", "1"],
+    ["couple", "--mode", "branching", "--delta", "64", "--k", "3", "--depth", "13",
+     "--samples", "1", "--seed", "4"],
+    # a state count of more than 4300 digits, and one of 2**41 bits
+    ["dynamics", "--delta", "100000", "--k", "3", "--n", "1", "--block-depth", "0", "--exact"],
+    ["dynamics", "--delta", "2", "--k", "3", "--n", "40", "--block-depth", "0", "--exact"],
+    # 64**40 leaves disagree, past int64; 64**39 bottom blocks, past one array
+    ["couple", "--delta", "64", "--k", "2", "--depth", "40", "--c1", "1", "--c2", "2",
+     "--samples", "1"],
+    ["unbiasing", "--delta", "64", "--k", "3", "--depth", "40", "--epsilon", "0.2",
+     "--samples", "1"],
+])
+def test_cli_counts_past_their_range_exit_3_without_a_traceback(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecolor.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=cli_subprocess_env(),
+        timeout=15,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 def test_module_entry_point_runs():
