@@ -39,10 +39,11 @@ the exact transition matrix is built from the same groups as the one form it
 stores, its entries as integer arrays sorted by row and then column.  The
 diagnostics read those entries: `entry` binary-searches a row's slice of
 them, the exact integer mixing path pushes its start rows through them, and
-above 4000 states the power iteration for the spectral gap takes each
-product Px as one `np.bincount` over them.  A dense float copy
-(`to_dense`) is built only where a dense routine needs it: `eigvalsh`, up
-to 4000 states, and the certified float mixing path, up to 400.
+above `_MIXING_STATE_GUARD` (400) states the power iteration for the
+spectral gap takes each product Px as one `np.bincount` over them.  A
+dense float copy (`to_dense`) is built only up to that guard, where a
+dense routine needs it: `eigvalsh` for the gap and the certified float
+mixing path.
 The mixing time is certified: float64 powers of the kernel decide the
 1/(2e) threshold test at step t whenever the computed worst-start TV is
 farther from it than the proven rounding bound 4(t+1)(n+2)2^-53 for n
@@ -65,7 +66,6 @@ import numpy as np
 
 from .broadcast_sampler import sample_full
 from .errors import CapacityError, NonErgodicChainError, ValidationError
-from .exact_engine import count_levels
 from .rng import RandomSource, word_below
 from .tree_model import FullColoring, TreeShape, _check_k, is_proper
 
@@ -76,6 +76,13 @@ _POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives u
 # row entries build_transition_matrix may write: (2,1,12,1) peaked at about
 # 110 bytes per entry, so about 0.55 GB at the guard
 _MATRIX_ENTRY_GUARD = 5 * 10**6
+# n * V * V for n states on V vertices: the entries of the (n, V) state
+# arrays the exact diagnostics write, about one array per generator in
+# `_symmetries` and one per block root in `_outside_groups`.  Under
+# STATE_GUARD only k = 2, with its 2 states at any V, comes near it: Delta=2
+# at depth 11 writes 3.4e7 and took 0.7 s and 74 MB in `dynamics --exact`
+# (2-core Intel Xeon), and each level deeper quadruples both
+_STATE_ENTRY_GUARD = 5 * 10**7
 _MEMO_CAP = 1 << 15  # lists one block shape's memo keeps for the life of the process (see _Memo)
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
 
@@ -191,7 +198,9 @@ class _Memo:
     `comp[a]` those whose vertex avoids a parent colored a (a = 0: no
     parent).  `select` is `counts` above the frontier; at a frontier
     vertex it is one list per a of the free colors other than a, in
-    increasing order.
+    increasing order.  Above the frontier, `counts[c - 1]` is the product
+    of the children's `comp[c]`: color c extends a child's subtree in the
+    colorings of it that avoid c.
 
     A move looks its block's table up by the colors of the frontier's
     outside children, in level order; one memo serves blocks of one
@@ -239,7 +248,11 @@ class _Memo:
         else:
             width = len(masks) // self.b
             children = [self._subtree(masks[i : i + width]) for i in range(0, len(masks), width)]
-            select = counts = count_levels([child[0][2] for child in children], self.b, 1)[1][0]
+            # comp[0], each child's total, rides along and is dropped
+            product = children[0][0][1]
+            for child in children[1:]:
+                product = [x * y for x, y in zip(product, child[0][1])]
+            select = counts = product[1:]
             below, lists = [node for child in children for node in child], 3
         total = sum(counts)
         top = (select, [total, *(total - m for m in counts)], counts)
@@ -425,6 +438,14 @@ def _check_state_guard(shape: TreeShape, k: int) -> None:
         raise CapacityError(f"the proper colorings exceed the {STATE_GUARD} state guard")
 
 
+def _check_state_entries(shape: TreeShape, k: int) -> None:
+    """Raise unless the state guard passes and the exact diagnostics' state
+    arrays hold at most `_STATE_ENTRY_GUARD` entries (n V^2, see there)."""
+    _check_state_guard(shape, k)
+    if state_space_size(shape, k) * shape.vertex_count**2 > _STATE_ENTRY_GUARD:
+        raise CapacityError(f"the state arrays exceed the {_STATE_ENTRY_GUARD} state-entry guard")
+
+
 def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
     """All proper colorings, lexicographic in the level-order color vector."""
     return list(map(tuple, _state_array(shape, k).tolist()))
@@ -436,7 +457,7 @@ def _state_array(shape: TreeShape, k: int) -> np.ndarray:
     one base-(k-1) digit among the colors its parent leaves, in increasing
     order.  One vectorized pass per vertex, parents first; `_state_index`
     reads the radix back."""
-    _check_state_guard(shape, k)
+    _check_state_entries(shape, k)
     size = state_space_size(shape, k)
     b, width = shape.branching, shape.vertex_count
     index = np.arange(size)
@@ -661,13 +682,15 @@ def build_transition_matrix(
 def stationary_and_gap(matrix: TransitionMatrix) -> dict:
     """Exact checks that P is symmetric (its entries equal those of its
     transpose) and fixes the uniform law (every column sums to the
-    denominator), plus a numerical spectral gap."""
+    denominator), plus a numerical spectral gap: from `eigvalsh` on the
+    dense copy up to `_MIXING_STATE_GUARD` states, and from the power
+    iteration on the entries above it."""
     rows, columns, numerators = matrix.entries
     transpose = np.lexsort((rows, columns))  # the transpose's entries, in row and column order
     pairs = (rows, columns), (columns, rows), (numerators, numerators)
     sums = np.zeros(matrix.size, numerators.dtype)
     np.add.at(sums, columns, numerators)
-    if matrix.size > 4000:
+    if matrix.size > _MIXING_STATE_GUARD:
         lambda2 = _second_eigenvalue_power(matrix)
     else:
         lambda2 = float(np.linalg.eigvalsh(matrix.to_dense())[-2]) if matrix.size > 1 else 0.0
@@ -730,7 +753,7 @@ def _check_mixing_size(size: int) -> None:
 def check_exact_capacity(shape: TreeShape, k: int) -> None:
     """Raise, before any matrix is built, the CapacityError that
     enumerate_states or mixing_time_exact would raise on this instance."""
-    _check_state_guard(shape, k)
+    _check_state_entries(shape, k)
     _check_mixing_size(state_space_size(shape, k))
 
 
@@ -901,7 +924,7 @@ def entropy_ratio_report(
     """Worst observed ratio of summed local entropies to global entropy over
     random log-normal test functions.  Diagnostic only."""
     _check_integer("trials", trials, 1)
-    _check_state_guard(shape, k)
+    _check_state_entries(shape, k)
     size = state_space_size(shape, k)
     gen = rng.generator
     worst = math.inf

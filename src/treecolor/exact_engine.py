@@ -6,14 +6,12 @@ colorings of the vertex's subtree that give it color c.  A leaf counts 1
 for each color it allows (every color if it is unconstrained); one level
 up, color c extends each child's subtree in (the child's total - the
 child's count for c) ways, and these multiply over the children.  The
-root law is the root's counts normalized.  Extension counts,
-interior-vertex marginals and the heat-bath block move in `dynamics`
-read the same counts.  The kernel has two bodies with the same exact
-integers, picked by the number of bottom vectors: large bottoms compute
-each level as one numpy expression, in int64 while the counts provably
-fit and over Python ints from there; small ones, such as the frontier of
-a heat-bath block, keep a list loop, where numpy's fixed cost per call
-would outweigh the per-vertex products it saves.
+root law is the root's counts normalized.  Extension counts and
+interior-vertex marginals read the same counts.  The kernel computes each
+level as one numpy expression, in int64 while the counts provably fit and
+over Python ints from there.  The heat-bath memo in `dynamics` applies
+the same rule one vertex at a time, to the completions it keeps for each
+child.
 
 The exact laws of upward messages live here too.  A vertex's message
 (its counts, normalized) depends only on the leaves below it, which given
@@ -146,11 +144,6 @@ def tv_distance(d1: ColorDistribution, d2: ColorDistribution):
 # the counting kernel
 
 
-#: bottoms of at least this many vectors take the array body of `count_levels`
-#: (the two bodies broke even between 9 and 16 vectors across shapes)
-_ARRAY_BODY_MIN_VECTORS = 16
-
-
 def count_levels(bottom, branching: int, height: int) -> list:
     """Proper-coloring counts of every vertex of a complete subtree, by color.
 
@@ -159,26 +152,13 @@ def count_levels(bottom, branching: int, height: int) -> list:
     leaves, or a subtree's counts.  A vertex above colored c extends each
     child's subtree in (the sum of the child's counts - the child's count
     for c) ways, so its counts are the products of those over its
-    children.  Returns every level of exact integer counts,
-    bottom level first; the last level holds the top vertex alone, and
-    `levels[h][i][c]` is a Python int.
+    children.  Returns every level of exact integer counts, bottom level
+    first, as (width, k) object arrays of Python ints; the last level holds
+    the top vertex alone, and `levels[h][i][c]` is a Python int.
 
-    Two bodies compute the same integers.  From _ARRAY_BODY_MIN_VECTORS
-    bottom vectors up, each level is one numpy expression, in int64 while
-    a bound on the counts proves they fit and over Python ints from there,
-    and the levels are returned as (width, k) object arrays of Python ints.
-    Below it a list loop makes the products one vertex at a time, and the
-    levels are lists of lists: the small bottoms of the heat-bath moves in
-    `dynamics` would pay more in numpy's per-call cost than they save.
+    Each level is one numpy expression, in int64 while a bound on the
+    counts proves they fit and over Python ints from there.
     """
-    if len(bottom) >= _ARRAY_BODY_MIN_VECTORS:
-        return _count_levels_array(bottom, branching, height)
-    return _count_levels_list(
-        bottom.tolist() if isinstance(bottom, np.ndarray) else bottom, branching, height
-    )
-
-
-def _count_levels_array(bottom, branching: int, height: int) -> list:
     # a list goes through Python ints: numpy would make floats of some
     counts = bottom if isinstance(bottom, np.ndarray) else np.array(bottom, dtype=object)
     k = counts.shape[1]
@@ -201,21 +181,6 @@ def _count_levels_array(bottom, branching: int, height: int) -> list:
         counts = math.prod(completions[:, j] for j in range(branching))
         levels.append(counts)
     return [level.astype(object, copy=False) for level in levels]
-
-
-def _count_levels_list(bottom: list, branching: int, height: int) -> list:
-    k = len(bottom[0])
-    levels = [bottom]
-    for _ in range(height):
-        below = levels[-1]
-        above = []
-        for i in range(0, len(below), branching):
-            vec = [1] * k
-            for counts in below[i : i + branching]:
-                vec = _times_completions(vec, counts)
-            above.append(vec)
-        levels.append(above)
-    return levels
 
 
 def _times_completions(weights: list, counts) -> list:

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: statistics, exact laws, the bottom
-blocks' unused-color sets, oracles for the exact dynamics' state space
-and the CLI subprocess environment."""
+blocks' unused-color sets, a list oracle for the counting kernel, oracles
+for the exact dynamics' state space and the CLI subprocess environment."""
 from __future__ import annotations
 
 import os
@@ -92,6 +92,29 @@ def unused_log_factors(unused: np.ndarray) -> np.ndarray:
         raise InfeasibleBoundaryError("a bottom block uses all colors")
     with np.errstate(divide="ignore"):
         return np.where(unused, np.log1p(-1.0 / sizes), 0.0)
+
+
+#: the bottom size from which `count_levels` took its numpy body when it
+#: also had a list body for smaller bottoms; tests cover both sides of it
+_ARRAY_BODY_MIN_VECTORS = 16
+
+
+def _count_levels_list(bottom: list, branching: int, height: int) -> list:
+    """Oracle for `exact_engine.count_levels`: the same levels as lists of
+    lists of Python ints, one vertex at a time.  A vertex colored c extends
+    each child's subtree in (the child's total - its count for c) ways,
+    and these multiply over its children."""
+    levels = [[[int(x) for x in vec] for vec in bottom]]  # Python ints, which never wrap
+    for _ in range(height):
+        below, above = levels[-1], []
+        for i in range(0, len(below), branching):
+            vec = [1] * len(below[0])
+            for counts in below[i : i + branching]:
+                total = sum(counts)
+                vec = [w * (total - m) for w, m in zip(vec, counts)]
+            above.append(vec)
+        levels.append(above)
+    return levels
 
 
 def enumerate_states_recursive(shape: TreeShape, k: int) -> list[tuple]:

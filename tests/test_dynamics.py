@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     CHI2_P_FLOOR,
+    _count_levels_list,
     block_projection,
     chi2_pvalue,
     cli_subprocess_env,
@@ -482,6 +483,35 @@ def test_memo_keeps_at_most_cap_lists(monkeypatch):
     assert 0 < len(memo.tables) < 200
 
 
+@pytest.mark.parametrize(
+    "branching, k, height, past_int64",
+    [(2, 3, 3, False), (3, 5, 2, False), (2, 300, 4, True), (20, 12, 1, False), (16, 40, 1, True)],
+)
+def test_memo_counts_are_the_oracle_one_level_products(
+    monkeypatch, branching, k, height, past_int64
+):
+    # an inner node's counts multiply its children's stored completions; the
+    # list oracle forms them from the children's counts, one level up
+    monkeypatch.setattr(dynamics, "_MEMO_CAP", 1 << 20)  # keep every child's table
+    memo = dynamics._Memo(branching, k)
+    width = branching**height
+    gen = np.random.default_rng(branching * 1000 + k)
+    for _ in range(6):
+        memo.table(tuple(gen.integers(1, k + 1, size=width * branching).tolist()), width)
+    inner = [(masks, table) for masks, table in memo.subtrees.items() if len(masks) > 1]
+    assert len(inner) >= 6
+    largest = 0
+    for masks, table in inner:
+        select, comp, counts = table[0]
+        part = len(masks) // branching
+        below = [memo.subtrees[masks[i : i + part]][0][2] for i in range(0, len(masks), part)]
+        assert counts == _count_levels_list(below, branching, 1)[1][0]
+        assert select == counts and comp == [sum(counts), *(sum(counts) - m for m in counts)]
+        assert all(type(x) is int for x in counts)
+        largest = max(largest, *counts)
+    assert largest > 0 and (largest >= 2**63) == past_int64
+
+
 def test_thinned_tallies_are_pinned_and_inputs_untouched():
     start = striped_state(TreeShape(2, 1), 3)
     visits: dict = {}
@@ -754,6 +784,24 @@ def test_state_guard_never_forms_a_huge_count(shape):
     assert dynamics._check_state_guard(shape, 2) is None  # two colorings at any size
 
 
+def test_state_entry_guard_trips_only_on_large_two_color_trees():
+    # under the state guard, k >= 3 leaves at most 12 vertices, far inside
+    # the state-entry guard; k = 2 has 2 states at any size
+    for branching, depth, k in itertools.product(range(2, 13), range(12), range(3, 40)):
+        shape = TreeShape(branching, depth)
+        try:
+            dynamics._check_state_guard(shape, k)
+        except CapacityError:
+            continue
+        dynamics._check_state_entries(shape, k)
+    dynamics._check_state_entries(TreeShape(2, 11), 2)  # 2 * 4095**2 entries
+    for call in (dynamics._check_state_entries, check_exact_capacity, enumerate_states):
+        with pytest.raises(CapacityError, match="state-entry guard"):
+            call(TreeShape(2, 12), 2)  # 2 * 8191**2 entries
+    with pytest.raises(CapacityError, match="state-entry guard"):
+        build_transition_matrix(TreeShape(10**12, 1), 2, 0)
+
+
 def test_matrix_entry_guard_trips_before_any_row_is_built():
     # 7220 states under the state guard, but one group of all of them at
     # block depth 1: 7220**2 row entries
@@ -863,7 +911,8 @@ def test_uniform_stationarity_and_frozen_gaps():
 
 @pytest.mark.parametrize("block_depth", [0, 1])
 def test_power_iteration_matches_dense_second_eigenvalue(block_depth):
-    # the >4000-state branch of stationary_and_gap, run on a 192-state kernel
+    # the branch of stationary_and_gap above _MIXING_STATE_GUARD states, run
+    # on a 192-state kernel
     matrix = build_transition_matrix(TreeShape(2, 2), 3, block_depth)
     lam2 = float(np.linalg.eigvalsh(matrix.to_dense())[-2])
     got = dynamics._second_eigenvalue_power(matrix)
@@ -901,6 +950,20 @@ def test_gap_past_4000_states_reads_the_entries_in_bounded_memory():
     assert "_dense" not in vars(matrix)  # no dense copy was built
     assert info["is_symmetric"] and info["is_uniform_stationary"]
     assert info["spectral_gap"] == pytest.approx(0.3038471382134905, abs=1e-12)
+
+
+@pytest.mark.parametrize("block_depth", [0, 1])
+def test_gap_above_the_mixing_guard_reads_the_entries(block_depth):
+    # (2, 2, 4): 2916 states, past the 400 up to which to_dense() is built;
+    # the power iteration on the entries gives eigvalsh's lambda_2
+    matrix = build_transition_matrix(TreeShape(2, 2), 4, block_depth)
+    assert matrix.size == 2916 > dynamics._MIXING_STATE_GUARD
+    gap = stationary_and_gap(matrix)["spectral_gap"]
+    assert "_dense" not in vars(matrix)  # no dense copy was built
+    rows, columns, _ = matrix.entries
+    dense = np.zeros((matrix.size, matrix.size))
+    dense[rows, columns] = matrix._values()
+    assert gap == pytest.approx(1.0 - np.linalg.eigvalsh(dense)[-2], abs=1e-12)
 
 
 def test_exact_mixing_times():
@@ -1360,22 +1423,33 @@ def test_integer_path_from_orbit_starts_matches_all_starts(branching, depth, k, 
 
 
 def dense_integer_mixing_time(matrix: TransitionMatrix) -> int:
-    """Oracle for `_mixing_time_integer`: the start rows of P, held as one
-    dense object array of Python ints, times P per step (`power @ base`)."""
+    """Oracle for `_mixing_time_integer`: the start rows of P^t, times d^t,
+    held as dense lists of Python ints, each step multiplied by P in plain
+    Python, entry by entry over the stored entries of each row."""
     size = matrix.size
-    rows, columns, numerators = matrix.entries
-    base = np.zeros((size, size), dtype=object)
-    base[rows, columns] = numerators
+    row_entries: list = [[] for _ in range(size)]
+    for i, j, num in zip(*(array.tolist() for array in matrix.entries)):
+        row_entries[i].append((j, num))
+
+    def times_p(row: list) -> list:
+        out = [0] * size
+        for i, value in enumerate(row):
+            if value:
+                for j, num in row_entries[i]:
+                    out[j] += value * num
+        return out
+
     e_lo = sum(Fraction(1, math.factorial(i)) for i in range(51))
     e_hi = e_lo + Fraction(2, math.factorial(51))
-    power = base if matrix._starts is None else base[matrix._starts]
+    starts = range(size) if matrix._starts is None else matrix._starts.tolist()
+    power = [times_p([int(i == x) for i in range(size)]) for x in starts]
     scale = matrix.denominator
     for t in range(1, dynamics._MIXING_STEP_GUARD + 1):
-        worst = np.abs(size * power - scale).sum(axis=1).max()
+        worst = max(sum(abs(size * value - scale) for value in row) for row in power)
         if worst * e_hi <= size * scale:
             return t
         assert worst * e_lo > size * scale  # e is known to 1e-60
-        power = power @ base
+        power = [times_p(row) for row in power]
         scale *= matrix.denominator
     raise AssertionError("no mixing time within the step guard")
 

@@ -40,10 +40,7 @@ from treecolor.broadcast_sampler import (
     posterior_rows,
 )
 from treecolor.exact_engine import (
-    _ARRAY_BODY_MIN_VECTORS,
     _color_swaps,
-    _count_levels_array,
-    _count_levels_list,
     _fold_factors,
     _message_law,
     _message_table,
@@ -54,7 +51,12 @@ from treecolor.exact_engine import (
 )
 from treecolor.tree_model import STAR
 
-from conftest import block_unused_sets, unused_log_factors
+from conftest import (
+    _ARRAY_BODY_MIN_VECTORS,
+    _count_levels_list,
+    block_unused_sets,
+    unused_log_factors,
+)
 
 
 def leaves(k, *values):
@@ -507,19 +509,22 @@ def as_lists(levels):
 
 
 def int64_levels(bottom_max: int, k: int, branching: int, height: int) -> int:
-    """How many levels above the bottom the array body may take in int64."""
+    """How many levels above the bottom `count_levels` may take in int64."""
     bound, levels = bottom_max, 0
     while levels < height and (k * bound) ** branching < 2**63:
         bound, levels = (k * bound) ** branching, levels + 1
     return levels
 
 
-# the array body leaves int64 at level 5 of (2, 10, 3), 3 of (3, 6, 4), 2 of
+# the kernel leaves int64 at level 5 of (2, 10, 3), 3 of (3, 6, 4), 2 of
 # (5, 3, 6) and 3 of (4, 5, 5); (16, 2, 16) leaves it at once: 16**16 = 2**64
 @pytest.mark.parametrize(
     "branching, depth, k", [(2, 10, 3), (3, 6, 4), (5, 3, 6), (4, 5, 5), (16, 2, 16)]
 )
 def test_count_levels_bodies_agree_on_both_sides_of_the_threshold(branching, depth, k):
+    # the kernel against the list oracle, from arrays and from lists, on
+    # both sides of its int64 switch and of the 16 bottom vectors below
+    # which it once kept a list body
     switch = int64_levels(1, k, branching, depth)
     assert switch < depth and (switch > 0) == (branching < 16)
     rng = np.random.default_rng(branching * 100 + k)
@@ -531,26 +536,24 @@ def test_count_levels_bodies_agree_on_both_sides_of_the_threshold(branching, dep
         for height in range(depth + 1):
             rows = bottom[: branching**height]
             expected = _count_levels_list(rows.tolist(), branching, height)
-            got = _count_levels_array(rows, branching, height)
-            assert as_lists(got) == expected, (trial, height)
-            assert all(type(x) is int for level in got for vec in level for x in vec)
-            assert as_lists(count_levels(rows, branching, height)) == expected
-            assert as_lists(count_levels(rows.tolist(), branching, height)) == expected
+            for given in (rows, rows.tolist()):
+                got = count_levels(given, branching, height)
+                assert as_lists(got) == expected, (trial, height)
+                assert all(type(x) is int for level in got for vec in level for x in vec)
             largest = max(largest, *(x for level in expected for vec in level for x in vec))
     assert largest >= 2**63  # counts outgrow int64 above the switch: a late one would wrap
-    if branching < 16:  # (16, 2, 16) tests the array body past int64 at once
+    if branching < 16:  # (16, 2, 16) tests the kernel past int64 at once
         assert branching**depth >= _ARRAY_BODY_MIN_VECTORS > branching
 
 
 @pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**62, 2**70])
 def test_count_levels_array_body_on_count_bottoms(scale):
-    # a heat-bath block with 16 or more children hands the array body its
-    # children's counts, not 0/1 vectors, some past int64 and as lists
+    # subtree counts, not 0/1 vectors, some past int64 and as lists
     rng = np.random.default_rng(16)
     bottom = [[int(x) * scale for x in row] for row in rng.integers(0, 1000, size=(256, 5))]
     for height, rows in ((0, bottom[:16]), (1, bottom[:16]), (2, bottom)):
         expected = _count_levels_list(rows, 16, height)
-        got = _count_levels_array(rows, 16, height)
+        got = count_levels(rows, 16, height)
         assert as_lists(got) == expected, height
         assert all(type(x) is int for level in got for vec in level for x in vec)
 
@@ -558,7 +561,6 @@ def test_count_levels_array_body_on_count_bottoms(scale):
 def test_count_levels_all_star_counts_exceed_int64():
     # an all-STAR tree has k (k-1)^(V-1) proper colorings: 3 * 2^2046 here
     shape, k = TreeShape(2, 10), 3
-    assert shape.leaf_count >= _ARRAY_BODY_MIN_VECTORS
     total = k * (k - 1) ** (shape.vertex_count - 1)
     assert total > 2**63
     top = count_levels(np.ones((shape.leaf_count, k), dtype=np.int64), 2, 10)[-1][0]
@@ -571,8 +573,8 @@ def test_count_levels_all_star_counts_exceed_int64():
 def test_counting_routes_above_the_threshold_match_the_list_body(
     monkeypatch, branching, depth, k
 ):
+    # every route that reads the kernel gives what it gives on the list oracle
     shape = TreeShape(branching, depth)
-    assert shape.leaf_count >= _ARRAY_BODY_MIN_VECTORS
     rng = np.random.default_rng(depth)
     rows = [rng.integers(0, k + 1, size=shape.leaf_count) for _ in range(3)]
     rows.append(sample_leaf_rows(shape, k, 1, RandomSource(depth))[0])
@@ -595,10 +597,10 @@ def test_counting_routes_above_the_threshold_match_the_list_body(
                         out.append(None)
         return out
 
-    array_body = run()
-    monkeypatch.setattr(exact_engine, "_ARRAY_BODY_MIN_VECTORS", shape.leaf_count + 1)
-    assert run() == array_body
-    assert any(value is not None for value in array_body[1:])
+    kernel = run()
+    monkeypatch.setattr(exact_engine, "count_levels", _count_levels_list)
+    assert run() == kernel
+    assert any(value is not None for value in kernel[1:])
 
 
 # ---------------------------------------------------------------------------

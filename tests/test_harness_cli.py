@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -702,6 +704,28 @@ def test_cli_dynamics_exact_runs_a_two_color_tree_of_any_depth(capsys):
     payload = json.loads(out)
     assert payload["states"] == 2 and payload["t_mix"] is None
     assert not payload["ergodic"] and payload["uniform_stationary"]
+
+
+def test_cli_dynamics_exact_edge_grid_exits_cleanly(capsys):
+    # no cell escapes with a traceback (exit 1); at k = 2, with its 2 states
+    # at any size, the trees too deep or too wide for the state arrays exit
+    # 3, where they once asked for terabytes or a dimension numpy refuses
+    too_large = {(2, 40), (64, 40), (10**12, 1), (10**12, 40)}
+    start = time.perf_counter()
+    for delta, k, n, block_depth in itertools.product(
+        [1, 2, 64, 10**12], [1, 2, 3, 300], [0, 1, 40], [0, 1]
+    ):
+        cell = delta, k, n, block_depth
+        code, _, err = run_cli(
+            capsys, "dynamics", "--delta", str(delta), "--k", str(k), "--n", str(n),
+            "--block-depth", str(block_depth), "--exact",
+        )
+        assert code in (0, 2, 3), cell
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, cell
+        if k == 2 and (delta, n) in too_large:
+            assert code == 3 and "state-entry guard" in err, cell
+    assert time.perf_counter() - start < 20
 
 
 def test_cli_unbiasing_json(capsys):
