@@ -6,8 +6,8 @@ a flat key=value config file (--config), builds the run's configs, and
 writes the rendered text to stdout or --out.  Explicit flags always win
 over the file, and the file wins over built-in defaults.
 
-Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped,
-4 infeasible boundary or channel.
+Exit codes: 0 success, 2 bad configuration, 3 capacity guard tripped or
+out of memory, 4 infeasible boundary or channel.
 """
 from __future__ import annotations
 
@@ -177,6 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except (InfeasibleBoundaryError, InfeasibleChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,11 +32,13 @@ state.  The properness checks of `run_chain` and `step` raise, so
 `python -O` keeps them.
 
 On instances small enough to enumerate, the states are the rows of one
-int16 array (`_state_array`), labelled per block root by their colors
-outside the block (`_outside_groups`).  A move maps f to its group average
-M_r f (`_average`), so its conditional entropy is Ent(f) - Ent(M_r f), and
-the exact transition matrix is built from the same groups as the one form it
-stores, its entries as integer arrays sorted by row and then column.  The
+read-only int16 array (`_state_array`), built once per tree and k and
+stored by the exact transition matrix as its `states`, and labelled per
+block root by their colors outside the block (`_outside_groups`).  A move
+maps f to its group average M_r f (`_average`), so its conditional entropy
+is Ent(f) - Ent(M_r f), one term per block root, and the exact transition
+matrix is built from the same groups as the one form it stores, its
+entries as integer arrays sorted by row and then column.  The
 diagnostics read those entries: `entry` binary-searches a row's slice of
 them, the exact integer mixing path pushes its start rows through them, and
 above `_MIXING_STATE_GUARD` (400) states the power iteration for the
@@ -77,11 +79,12 @@ _POWER_STEPS = 100_000  # steps _second_eigenvalue_power takes before it gives u
 # 110 bytes per entry, so about 0.55 GB at the guard
 _MATRIX_ENTRY_GUARD = 5 * 10**6
 # n * V * V for n states on V vertices: the entries of the (n, V) state
-# arrays the exact diagnostics write, about one array per generator in
-# `_symmetries` and one per block root in `_outside_groups`.  Under
+# arrays the exact diagnostics write, one at a time, about one per generator
+# in `_symmetries` and one per block root in `_outside_groups`.  Under
 # STATE_GUARD only k = 2, with its 2 states at any V, comes near it: Delta=2
-# at depth 11 writes 3.4e7 and took 0.7 s and 74 MB in `dynamics --exact`
-# (2-core Intel Xeon), and each level deeper quadruples both
+# at depth 11 writes 3.4e7 and took 0.7 s and 36 MB peak RSS in
+# `dynamics --exact` (2-core Intel Xeon), and each level deeper quadruples
+# the entries written
 _STATE_ENTRY_GUARD = 5 * 10**7
 _MEMO_CAP = 1 << 15  # lists one block shape's memo keeps for the life of the process (see _Memo)
 _CHUNK = 1 << 12  # moves whose vertex choices and words are drawn at once
@@ -452,12 +455,19 @@ def enumerate_states(shape: TreeShape, k: int) -> list[tuple]:
 
 
 def _state_array(shape: TreeShape, k: int) -> np.ndarray:
-    """The proper colorings as one (n, V) int16 array, lexicographic: row i
-    spells i in mixed radix, the root's color in base k, then per vertex
-    one base-(k-1) digit among the colors its parent leaves, in increasing
-    order.  One vectorized pass per vertex, parents first; `_state_index`
-    reads the radix back."""
+    """The proper colorings as one read-only (n, V) int16 array, checked
+    against the guards on every call and built once per tree and k
+    (`_built_states`)."""
     _check_state_entries(shape, k)
+    return _built_states(shape, k)
+
+
+@lru_cache(maxsize=8)  # an entry holds one (n, V) state array
+def _built_states(shape: TreeShape, k: int) -> np.ndarray:
+    """`_state_array`, lexicographic: row i spells i in mixed radix, the
+    root's color in base k, then per vertex one base-(k-1) digit among the
+    colors its parent leaves, in increasing order.  One vectorized pass per
+    vertex, parents first; `_state_index` reads the radix back."""
     size = state_space_size(shape, k)
     b, width = shape.branching, shape.vertex_count
     index = np.arange(size)
@@ -466,6 +476,7 @@ def _state_array(shape: TreeShape, k: int) -> np.ndarray:
     for v in range(1, width):
         digit = index // (k - 1) ** (width - 1 - v) % (k - 1) + 1
         states[:, v] = digit + (digit >= states[:, (v - 1) // b])
+    states.setflags(write=False)
     return states
 
 
@@ -486,14 +497,16 @@ def _symmetries(shape: TreeShape, k: int) -> list[np.ndarray]:
     They are the transpositions of adjacent colors and, at each internal
     vertex, the swaps of adjacent sibling subtrees.  A tree automorphism
     maps the block under r to the block under its image, and a vertex to
-    one that selects that image, so both kinds commute with P.
+    one that selects that image, so both kinds commute with P.  Each image
+    of the states becomes its index map as soon as it is made, so one image
+    is held at a time.
     """
     states = _state_array(shape, k)
-    images = []
+    maps = []
     for c in range(1, k):
         swap = np.arange(k + 1, dtype=states.dtype)
         swap[[c, c + 1]] = c + 1, c
-        images.append(swap[states])
+        maps.append(_state_index(swap[states], shape, k))
     b, width = shape.branching, shape.vertex_count
     for left in range(1, width):
         if left % b == 0:  # the last child of its parent
@@ -503,8 +516,8 @@ def _symmetries(shape: TreeShape, k: int) -> list[np.ndarray]:
         while lo < width:  # swap the two subtrees' levels, adjacent in level order
             columns[lo : lo + 2 * size] = np.roll(columns[lo : lo + 2 * size], size)
             lo, size = lo * b + 1, size * b
-        images.append(states[:, columns])
-    return [_state_index(image, shape, k) for image in images]
+        maps.append(_state_index(states[:, columns], shape, k))
+    return maps
 
 
 @lru_cache(maxsize=8)  # an entry holds one label per state
@@ -543,6 +556,11 @@ class TransitionMatrix:
     and `to_dense()`, the float copy that `eigvalsh` and the certified float
     mixing path need, is built from it on first use.
 
+    `states` holds one row of colors per state, as a read-only integer
+    array that the constructor takes over; a built matrix stores the
+    (n, V) int16 array of `_state_array` itself, built once per tree and k
+    and shared with every exact diagnostic of that instance.
+
     `build_transition_matrix` also records, outside the fields, one start
     per orbit of the states under `_symmetries`, which commute with the
     kernel; a matrix built by hand has no starts, since nothing proves its
@@ -552,12 +570,17 @@ class TransitionMatrix:
     shape: TreeShape
     k: int
     block_depth: int
-    states: tuple
+    states: np.ndarray = field(repr=False)  # one row of colors per state
     entries: tuple = field(repr=False)  # (row, column, numerator) arrays
     denominator: int
     _starts = None  # not a field: the orbit starts' indices, ascending, or None
 
     def __post_init__(self):
+        states = np.asarray(self.states)
+        if states.size and (states.ndim != 2 or states.dtype.kind not in "iu"):
+            raise ValidationError("states must be a 2-D integer array, one row per state")
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
         size, d = self.size, self.denominator
         if size == 0:
             raise ValidationError("a transition matrix needs at least one state")
@@ -672,7 +695,7 @@ def build_transition_matrix(
     np.add.at(numerators, inverse, np.concatenate(weights))
     common = math.gcd(denominator, *np.unique(numerators).tolist())
     entries = keys // n, keys % n, numerators // common
-    states = tuple(enumerate_states(shape, k))
+    states = _state_array(shape, k)
     matrix = TransitionMatrix(shape, k, block_depth, states, entries, denominator // common)
     # an orbit's smallest index labels it, so the distinct labels are the starts
     object.__setattr__(matrix, "_starts", np.unique(_orbits(shape, k)))
@@ -900,21 +923,32 @@ def _average(label: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (np.bincount(label, f) / np.bincount(label))[label]
 
 
+def _entropy_input(f, shape: TreeShape, k: int, block_depth: int):
+    """f as a float vector, checked to hold one entry per state, with the
+    labels and roots of `_outside_groups`."""
+    arr = np.asarray(f, dtype=float)
+    labels, root_of = _outside_groups(shape, k, block_depth)
+    if arr.shape != labels[0].shape:  # the root always selects its own block
+        raise ValidationError("f must have one entry per enumerated state")
+    return arr, labels, root_of
+
+
 def conditional_entropy(f, shape: TreeShape, k: int, block_depth: int, v: int) -> float:
     """E[Ent(f | colors outside v's block)] = Ent(f) - Ent(M f), uniform E."""
     shape._check_vertex(v)
-    arr = np.asarray(f, dtype=float)
-    labels, root_of = _outside_groups(shape, k, block_depth)
-    if arr.shape != (state_space_size(shape, k),):
-        raise ValidationError("f must have one entry per enumerated state")
+    arr, labels, root_of = _entropy_input(f, shape, k, block_depth)
     return _entropy(arr) - _entropy(_average(labels[root_of[v]], arr))
 
 
 def local_entropy_sum(f, shape: TreeShape, k: int, block_depth: int) -> float:
-    """Sum over vertices of the conditional entropy given the block's outside."""
+    """Sum over vertices of the conditional entropy given the block's
+    outside: sum over block roots r of m_r (Ent f - Ent M_r f), where m_r
+    vertices select r, as in `build_transition_matrix`."""
+    arr, labels, root_of = _entropy_input(f, shape, k, block_depth)
+    total = _entropy(arr)
     return sum(
-        conditional_entropy(f, shape, k, block_depth, v)
-        for v in range(shape.vertex_count)
+        root_of.count(root) * (total - _entropy(_average(label, arr)))
+        for root, label in labels.items()
     )
 
 

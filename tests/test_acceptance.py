@@ -232,7 +232,7 @@ def test_criterion_07_dynamics_exactness():
     visits: dict = {}
     state = initial_state(shape, k, RandomSource(1701))
     run_chain(state, 0, 1_000_000, RandomSource(1702), visit_counts=visits, thin=50)
-    counts = np.array([visits.get(s, 0) for s in matrix.states], dtype=float)
+    counts = np.array([visits.get(tuple(s), 0) for s in matrix.states.tolist()], dtype=float)
     assert counts.sum() == 20_000
     size = matrix.size
     assert chi2_pvalue(counts, np.full(size, 1 / size)) > CHI2_P_FLOOR

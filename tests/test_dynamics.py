@@ -242,12 +242,13 @@ def test_one_step_law_matches_matrix_row():
         (TreeShape(2, 2), 3, 1, (1, 2, 3, 1, 3, 1, 2)),
     ]:
         matrix = build_transition_matrix(shape, k, block_depth)
-        i = matrix.states.index(start)
+        states = list(map(tuple, matrix.states.tolist()))
+        i = states.index(start)
         row = np.array([float(matrix.entry(i, j)) for j in range(matrix.size)])
         state = proper_state(shape, k, start)
         rng = RandomSource(20260823)
         counts = np.zeros(matrix.size)
-        index = {s: j for j, s in enumerate(matrix.states)}
+        index = {s: j for j, s in enumerate(states)}
         for _ in range(100_000):
             nxt = step(state, block_depth, rng)
             counts[index[tuple(int(c) for c in nxt.coloring.values)]] += 1
@@ -700,6 +701,80 @@ def test_state_array_matches_recursive_order(branching, depth, k):
     assert enumerate_states(shape, k) == enumerate_states_recursive(shape, k)
 
 
+def clear_exact_caches():
+    for cached in (dynamics._built_states, dynamics._orbits, dynamics._outside_groups):
+        cached.cache_clear()
+
+
+def test_state_array_is_built_once_per_tree_and_k():
+    # a cold build, then every other reader of the same (shape, k), one
+    # at another block depth, makes the state array once
+    shape, k = TreeShape(2, 2), 3
+    clear_exact_caches()
+    matrix = build_transition_matrix(shape, k, 1)
+    enumerate_states(shape, k)
+    dynamics._orbits(shape, k)
+    dynamics._outside_groups(shape, k, 0)
+    f = np.random.default_rng(33).lognormal(size=matrix.size)
+    conditional_entropy(f, shape, k, 2, 3)
+    local_entropy_sum(f, shape, k, 2)
+    assert dynamics._built_states.cache_info().misses == 1
+    assert matrix.states is dynamics._state_array(shape, k)
+    assert not matrix.states.flags.writeable
+
+
+def test_state_guards_run_before_the_cached_array(monkeypatch):
+    # a cached instance still raises once a guard no longer admits it, and
+    # an instance past a guard builds nothing
+    shape = TreeShape(2, 1)
+    dynamics._state_array(shape, 3)
+    builds = dynamics._built_states.cache_info().misses
+    monkeypatch.setattr(dynamics, "STATE_GUARD", 11)  # (2, 1, 3) has 12 states
+    with pytest.raises(CapacityError, match="state guard"):
+        dynamics._state_array(shape, 3)
+    monkeypatch.setattr(dynamics, "_STATE_ENTRY_GUARD", 31)  # (3, 1, 2) has 2 * 4**2
+    with pytest.raises(CapacityError, match="state-entry guard"):
+        enumerate_states(TreeShape(3, 1), 2)
+    assert dynamics._built_states.cache_info().misses == builds
+
+
+def test_orbits_hold_one_image_at_a_time():
+    # Delta=2, depth 11, k = 2: 2049 generators of (2, 4095) int16 images,
+    # 33.0 MiB traced when every image was kept until the end
+    shape = TreeShape(2, 11)
+    clear_exact_caches()
+    tracemalloc.start()
+    try:
+        labels = dynamics._orbits(shape, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert labels.tolist() == [0, 0]  # the color swap maps each state to the other
+
+
+@pytest.mark.parametrize(
+    "branching, depth, k, block_depth", [(2, 1, 3, 0), (2, 2, 3, 1), (3, 1, 4, 0)]
+)
+def test_built_matrix_stores_the_state_array(branching, depth, k, block_depth):
+    shape = TreeShape(branching, depth)
+    states = build_transition_matrix(shape, k, block_depth).states
+    assert isinstance(states, np.ndarray) and states.dtype == np.int16
+    assert states.shape == (state_space_size(shape, k), shape.vertex_count)
+    assert not states.flags.writeable
+    assert list(map(tuple, states.tolist())) == enumerate_states(shape, k)
+
+
+def test_hand_built_states_are_taken_over_read_only():
+    states = np.array([[1], [2]])
+    matrix = TransitionMatrix(TreeShape(2, 0), 2, 0, states, ([0, 1], [0, 1], [1, 1]), 1)
+    assert matrix.states is states and not states.flags.writeable
+    assert make_matrix([{1: 1}, {0: 1}], 1).states.tolist() == [[0], [1]]
+    for bad in ([[1.0], [2.0]], [1, 2], [[[1]], [[2]]]):
+        with pytest.raises(ValidationError, match="2-D integer array"):
+            TransitionMatrix(TreeShape(2, 0), 2, 0, bad, ([0, 1], [0, 1], [1, 1]), 1)
+
+
 # (branching, depth, k, block_depth) for the grouping and matrix oracles
 GROUPED_INSTANCES = [
     (2, 1, 3, 0),
@@ -754,6 +829,23 @@ def test_conditional_entropy_matches_per_group_formula(branching, depth, k, bloc
         expected = sum(len(m) / f.size * dynamics._entropy(f[m]) for m in members)
         got = conditional_entropy(f, shape, k, block_depth, v)
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("branching, depth, k, block_depth", [*GROUPED_INSTANCES, (2, 1, 4, 0)])
+def test_local_entropy_sum_is_the_per_vertex_sum(branching, depth, k, block_depth):
+    # one term per block root, weighted by the vertices that select it,
+    # against one conditional entropy per vertex
+    shape = TreeShape(branching, depth)
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        f = rng.lognormal(size=state_space_size(shape, k))
+        per_vertex = sum(
+            conditional_entropy(f, shape, k, block_depth, v) for v in range(shape.vertex_count)
+        )
+        got = local_entropy_sum(f, shape, k, block_depth)
+        assert got == pytest.approx(per_vertex, rel=1e-12, abs=0)
+    with pytest.raises(ValidationError, match="one entry per enumerated state"):
+        local_entropy_sum(f[:-1], shape, k, block_depth)
 
 
 def test_state_enumeration_guard():
@@ -864,7 +956,7 @@ def test_matrix_from_groups_matches_completion_search(branching, depth, k, block
     shape = TreeShape(branching, depth)
     matrix = build_transition_matrix(shape, k, block_depth)
     expected = oracle_transition_rows(shape, k, block_depth)
-    assert matrix.states == tuple(enumerate_states(shape, k))
+    assert list(map(tuple, matrix.states.tolist())) == enumerate_states(shape, k)
     rows = entry_rows(matrix)
     assert len(rows) == len(expected)
     for i, (got, want) in enumerate(zip(rows, expected)):

@@ -981,6 +981,52 @@ def test_cli_counts_past_their_range_exit_3_without_a_traceback(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+def _limit_address_space():
+    # 1 GiB for the child alone: the two depth-40 samplers fail at their
+    # 512 MiB level array, after about 0.8 GB resident and 2 s
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    # 1.82 TiB at once
+    ["dynamics", "--delta", "1000000000000", "--k", "3", "--n", "1", "--block-depth", "0",
+     "--steps", "5"],
+    # levels that double until one no longer fits under the limit
+    ["broadcast", "--delta", "2", "--k", "3", "--depth", "40", "--samples", "1"],
+    ["bias", "--delta", "2", "--k", "3", "--depth-range", "40..40", "--color", "1",
+     "--samples", "1"],
+])
+def test_cli_out_of_memory_exits_3_without_a_traceback(argv):
+    pytest.importorskip("resource")
+    # one BLAS thread, so importing numpy reserves the same address space on any machine
+    env = {**cli_subprocess_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecolor.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_memory_error_without_a_message_exits_3(monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    code, out, err = run_cli(capsys, "broadcast", "--delta", "2", "--k", "3", "--depth", "1",
+                             "--samples", "1")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "treecolor.cli", "broadcast", "--delta", "2",

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 import treecolor
 
 PUBLIC_NAMES = [
@@ -51,3 +53,11 @@ def test_transition_matrix_fields_are_pinned():
     # entries hold (row, column, int numerator) arrays over the one int denominator
     fields = [f.name for f in dataclasses.fields(treecolor.TransitionMatrix)]
     assert fields == TRANSITION_MATRIX_FIELDS
+
+
+def test_transition_matrix_states_are_the_int16_state_array():
+    # states was a tuple of tuples; it is the read-only (n, V) int16 array of
+    # the proper colorings, one row per state
+    matrix = treecolor.build_transition_matrix(treecolor.TreeShape(2, 1), 3, 0)
+    assert isinstance(matrix.states, np.ndarray) and matrix.states.dtype == np.int16
+    assert matrix.states.shape == (12, 3) and not matrix.states.flags.writeable
